@@ -23,10 +23,11 @@ SHELL := /bin/bash
 
 # `build` compiles ./... which includes examples/; TestExamplesBuild in
 # the test step additionally pins them as an explicit guarantee.
-.PHONY: tier1 fmt vet build test race bench benchcheck serve-bench \
-	serve-benchcheck flexnet-bench flexnet-benchcheck fleet-bench \
-	fleet-benchcheck sweep-bench warm-bench slo-bench bench-smoke bench-history profile-serve \
-	profile-fleet profile-smoke chaos cover lint slo-smoke cluster-smoke ci
+.PHONY: tier1 fmt vet build test race bench benchcheck netsim-bench \
+	netsim-benchcheck serve-bench serve-benchcheck flexnet-bench \
+	flexnet-benchcheck fleet-bench fleet-benchcheck sweep-bench warm-bench \
+	slo-bench bench-smoke bench-history profile-serve profile-fleet \
+	profile-smoke chaos cover lint slo-smoke cluster-smoke ci
 
 tier1: fmt vet build test
 
@@ -48,45 +49,43 @@ test:
 race:
 	$(GO) test -race ./...
 
-bench:
-	$(GO) test ./internal/netsim -run '^$$' -bench BenchmarkNetsim -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -out BENCH_netsim.json
+# The recorded benchmark suites, one row each: packages (comma-separated),
+# -bench pattern, recording. A suite's name keys its BENCH_HISTORY.json
+# entries and its profile files. flexnet also records the root package's
+# registry-dispatched Compare sweep: the comparison path is two map
+# lookups per architecture on top of the searches, so the recorded number
+# is the guard that registry dispatch stays free. fleet is the
+# cluster-scale simulator: whole scenario lifetimes, the raw event engine
+# and the evaluation-cache hit path every long trace lives on.
+SUITES := netsim serve flexnet fleet
+SUITE.netsim  := ./internal/netsim    BenchmarkNetsim                                                BENCH_netsim.json
+SUITE.serve   := ./internal/serve     BenchmarkServe                                                 BENCH_serve.json
+SUITE.flexnet := ./internal/flexnet,. 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$' BENCH_flexnet.json
+SUITE.fleet   := ./internal/fleet     BenchmarkFleet                                                 BENCH_cluster.json
 
-benchcheck:
-	$(GO) test ./internal/netsim -run '^$$' -bench BenchmarkNetsim -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -check BENCH_netsim.json $(BENCHDIFF_FLAGS)
+comma := ,
+define newline
 
-serve-bench:
-	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkServe -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -out BENCH_serve.json
 
-serve-benchcheck:
-	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkServe -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -check BENCH_serve.json $(BENCHDIFF_FLAGS)
+endef
+# $(call suite_run,NAME): one benchmark pass over a suite, printed for a
+# pipe into benchdiff. $(call suite_json,NAME): its recording.
+suite_run = $(GO) test $(subst $(comma), ,$(word 1,$(SUITE.$1))) -run '^$$' -bench $(word 2,$(SUITE.$1)) -benchmem -benchtime=$(BENCHTIME)
+suite_json = $(word 3,$(SUITE.$1))
+# $(call suite_import,NAME) copies a suite's recording into the ledger.
+suite_import = $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite $1 -import $(call suite_json,$1) -label '$(HISTORY_LABEL)'
 
-# The flexnet suite records the search engine AND the registry-dispatched
-# Compare sweep (BenchmarkCompare in the root package): the comparison
-# path is two map lookups per architecture on top of the searches, so the
-# recorded number is the guard that registry dispatch stays free.
-flexnet-bench:
-	$(GO) test ./internal/flexnet . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$' -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -out BENCH_flexnet.json
+# NAME-bench records a suite into its BENCH_*.json; NAME-benchcheck
+# fails when the current tree regresses against that recording.
+$(SUITES:%=%-bench): %-bench:
+	$(call suite_run,$*) | $(GO) run ./cmd/benchdiff -out $(call suite_json,$*)
 
-flexnet-benchcheck:
-	$(GO) test ./internal/flexnet . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$' -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -check BENCH_flexnet.json $(BENCHDIFF_FLAGS)
+$(SUITES:%=%-benchcheck): %-benchcheck:
+	$(call suite_run,$*) | $(GO) run ./cmd/benchdiff -check $(call suite_json,$*) $(BENCHDIFF_FLAGS)
 
-# The fleet suite records the cluster-scale simulator: two full scenario
-# lifetimes (steady-state with per-shard co-optimization, failure-storm
-# with warm-started replans), the raw no-training event engine over 500
-# jobs, and the evaluation-cache hit path every long trace lives on.
-fleet-bench:
-	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -out BENCH_cluster.json
-
-fleet-benchcheck:
-	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -check BENCH_cluster.json $(BENCHDIFF_FLAGS)
+# The netsim suite predates the table and keeps its short target names.
+bench: netsim-bench
+benchcheck: netsim-benchcheck
 
 # `make sweep-bench` is the PR-time recorder for the fleet suite now that
 # it includes the Monte Carlo sweep service (BenchmarkFleetSweep) and the
@@ -96,8 +95,7 @@ fleet-benchcheck:
 # suite once, records it into BENCH_cluster.json, then copies that
 # recording into the BENCH_HISTORY.json ledger under HISTORY_LABEL.
 sweep-bench: fleet-bench
-	$(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite fleet \
-		-import BENCH_cluster.json -label '$(HISTORY_LABEL)'
+	$(call suite_import,fleet)
 
 # `make warm-bench` is the PR-time recorder for the flexnet suite now
 # that it includes the incremental-replanning benchmark
@@ -107,8 +105,7 @@ sweep-bench: fleet-bench
 # copies that recording into the BENCH_HISTORY.json ledger under
 # HISTORY_LABEL.
 warm-bench: flexnet-bench
-	$(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite flexnet \
-		-import BENCH_flexnet.json -label '$(HISTORY_LABEL)'
+	$(call suite_import,flexnet)
 
 # `make slo-bench` is the PR-time recorder for the serve suite now that
 # it includes the open-loop SLO benchmark (BenchmarkServeOpenLoopSLO:
@@ -118,8 +115,7 @@ warm-bench: flexnet-bench
 # BENCH_serve.json, then copies that recording into the
 # BENCH_HISTORY.json ledger under HISTORY_LABEL.
 slo-bench: serve-bench
-	$(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite serve \
-		-import BENCH_serve.json -label '$(HISTORY_LABEL)'
+	$(call suite_import,serve)
 
 # Sustained-load SLO gate against one real daemon: open-loop Poisson
 # arrivals (fire-and-forget, so a saturated server faces the full
@@ -152,14 +148,8 @@ bench-smoke:
 # performance story readable across PRs without git archaeology.
 HISTORY_LABEL ?=
 bench-history:
-	$(GO) test ./internal/netsim -run '^$$' -bench BenchmarkNetsim -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite netsim -label '$(HISTORY_LABEL)'
-	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkServe -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite serve -label '$(HISTORY_LABEL)'
-	$(GO) test ./internal/flexnet . -run '^$$' -bench 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$' -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite flexnet -label '$(HISTORY_LABEL)'
-	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet -benchmem -benchtime=$(BENCHTIME) \
-		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite fleet -label '$(HISTORY_LABEL)'
+	$(foreach s,$(SUITES),$(call suite_run,$s) \
+		| $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite $s -label '$(HISTORY_LABEL)'$(newline))
 	$(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -trend
 
 # Contention + CPU profiles over the benchmark suites that exercise the
@@ -172,29 +162,17 @@ bench-history:
 # regression this target exists to catch.
 PROFILE_DIR ?= profiles
 
-profile-serve:
+profile-serve profile-fleet: profile-%:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkServe -benchmem -benchtime=$(BENCHTIME) \
-		-o $(PROFILE_DIR)/serve.test -outputdir $(abspath $(PROFILE_DIR)) \
-		-cpuprofile serve_cpu.out \
-		-mutexprofile serve_mutex.out -mutexprofilefraction 5 \
-		-blockprofile serve_block.out -blockprofilerate 10000
-	@for f in serve_cpu.out serve_mutex.out serve_block.out; do \
-		[ -s $(PROFILE_DIR)/$$f ] || { echo "profile-serve: $(PROFILE_DIR)/$$f missing or empty"; exit 1; }; \
+	$(call suite_run,$*) \
+		-o $(PROFILE_DIR)/$*.test -outputdir $(abspath $(PROFILE_DIR)) \
+		-cpuprofile $*_cpu.out \
+		-mutexprofile $*_mutex.out -mutexprofilefraction 5 \
+		-blockprofile $*_block.out -blockprofilerate 10000
+	@for f in $*_cpu.out $*_mutex.out $*_block.out; do \
+		[ -s $(PROFILE_DIR)/$$f ] || { echo "$@: $(PROFILE_DIR)/$$f missing or empty"; exit 1; }; \
 	done
-	@echo "profile-serve: wrote $(PROFILE_DIR)/serve_{cpu,mutex,block}.out"
-
-profile-fleet:
-	mkdir -p $(PROFILE_DIR)
-	$(GO) test ./internal/fleet -run '^$$' -bench BenchmarkFleet -benchmem -benchtime=$(BENCHTIME) \
-		-o $(PROFILE_DIR)/fleet.test -outputdir $(abspath $(PROFILE_DIR)) \
-		-cpuprofile fleet_cpu.out \
-		-mutexprofile fleet_mutex.out -mutexprofilefraction 5 \
-		-blockprofile fleet_block.out -blockprofilerate 10000
-	@for f in fleet_cpu.out fleet_mutex.out fleet_block.out; do \
-		[ -s $(PROFILE_DIR)/$$f ] || { echo "profile-fleet: $(PROFILE_DIR)/$$f missing or empty"; exit 1; }; \
-	done
-	@echo "profile-fleet: wrote $(PROFILE_DIR)/fleet_{cpu,mutex,block}.out"
+	@echo "$@: wrote $(PROFILE_DIR)/$*_{cpu,mutex,block}.out"
 
 # Short-benchtime pass over both profiled suites: proves the profiling
 # plumbing end to end (files exist and are non-empty) without the cost of

@@ -102,6 +102,30 @@ func decodeAPIError(t *testing.T, raw []byte) apiError {
 	return env.Error
 }
 
+// waitJobDone waits until s lists a done job with fingerprint fp — how a
+// test observes a job that boot re-submitted under a fresh ID. A job is
+// reported done only after its result is on the log and its journal
+// entry is cleared.
+func waitJobDone(t *testing.T, s *Service, fp string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		jobs, err := s.ListJobs(JobDone, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			if j.Fingerprint == fp {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("re-enqueued job never reported done")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestRestartWarmByteIdenticalAfterKill9 is the pinned restart-warm
 // proof from the issue's acceptance criteria: run real optimizations
 // against a stored service, crash it without any shutdown path (no
@@ -221,13 +245,7 @@ func TestCrashReenqueuesJournaledJob(t *testing.T) {
 		}})
 	defer s2.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for store2.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("re-enqueued job never persisted its result")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitJobDone(t, s2, req.Fingerprint())
 	if got := runs.Load(); got != 1 {
 		t.Errorf("restart ran the journaled job %d times, want 1", got)
 	}
@@ -387,13 +405,7 @@ func TestDrainDeadlineKeepsAsyncJobJournal(t *testing.T) {
 			return plan, nil
 		}})
 	defer s2.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for store2.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("re-enqueued job never persisted its result")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitJobDone(t, s2, jb.Fingerprint)
 	if got := runs.Load(); got != 1 {
 		t.Errorf("restart ran the drained job %d times, want 1", got)
 	}
@@ -422,12 +434,9 @@ func TestWarmBootClearsSatisfiedJobJournal(t *testing.T) {
 	if _, _, _, err := s1.Plan(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Len() == 0 { // persist runs after the flight's waiters wake
-		if time.Now().After(deadline) {
-			t.Fatal("completed plan never persisted")
-		}
-		time.Sleep(2 * time.Millisecond)
+	// A result is on the log before its waiters are released.
+	if store.Len() != 1 {
+		t.Fatalf("store holds %d entries after the plan returned, want 1", store.Len())
 	}
 	// Crash exactly between a job's journal append and its job_done:
 	// the put record and the journal entry both survive.

@@ -213,6 +213,34 @@ func TestClusterSingleHopAndCounters(t *testing.T) {
 	if m1.Forwarded[urls[0]] != 0 || m1.ForwardedServed != 1 {
 		t.Fatalf("loop-guarded request miscounted: forwarded=%v served=%d", m1.Forwarded, m1.ForwardedServed)
 	}
+
+	// A forwarded compare keeps its fingerprint in the edge's own
+	// /debug/requests record, exactly like a forwarded plan.
+	ring, err := shard.New(urls, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archs := []topoopt.Architecture{topoopt.ArchIdeal}
+	cmp := CompareRequest{Model: topoopt.ModelSpec{Preset: "candle", Section: "6"}, Archs: []string{string(topoopt.ArchIdeal)}}
+	var fp string
+	for seed := int64(1); fp == ""; seed++ {
+		cmp.Options = topoopt.Options{Servers: 4, Degree: 2, LinkBandwidth: 100e9, Rounds: 1, MCMCIters: 5, Seed: seed}
+		if f := CompareFingerprint(cmp.Model, cmp.Options, archs); ring.Owner(f) == urls[2] {
+			fp = f
+		}
+	}
+	body, _ = json.Marshal(cmp)
+	cresp, err := http.Post(urls[0]+"/v1/compare", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	if cresp.StatusCode != http.StatusOK || cresp.Header.Get(OwnerHeader) != urls[2] {
+		t.Fatalf("compare status %d owner %q, want 200 via %s", cresp.StatusCode, cresp.Header.Get(OwnerHeader), urls[2])
+	}
+	if rec := nodes[0].svc.Telemetry().Requests()[0]; rec.Endpoint != "compare" || rec.Fingerprint != fp {
+		t.Fatalf("edge record %s/%q, want compare/%s", rec.Endpoint, rec.Fingerprint, fp)
+	}
 }
 
 // TestClusterOwnerDownFallsBackLocal pins the degradation contract: a

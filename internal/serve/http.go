@@ -363,15 +363,16 @@ func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	fp := CompareFingerprint(req.Model, req.Options, archs)
 	tr.End()
-	if handled, status := s.forward(ctx, w, r, body, CompareFingerprint(req.Model, req.Options, archs)); handled {
-		tr.Finish("", false, status)
+	if handled, status := s.forward(ctx, w, r, body, fp); handled {
+		tr.Finish(fp, false, status)
 		return
 	}
 	// Compare latencies are not observed: a multi-architecture sweep is
 	// seconds-scale and would swamp the serving-path quantiles the
 	// latency window exists to track.
-	res, fp, cached, err := s.compare(ctx, req.Model, m, req.Options, archs, tr)
+	res, fp, cached, err := s.compare(ctx, fp, m, req.Options, archs, tr)
 	if err != nil {
 		aerr := s.serviceError(err)
 		tr.Finish(fp, false, aerr.Status)

@@ -13,13 +13,13 @@
 //
 // The service is crash-safe and overload-safe (see DESIGN.md,
 // "Durability and degradation"): with a Store configured, every
-// completed result is appended to a write-ahead log and replayed into
-// the LRU on boot (restart-warm, byte-identical cache hits), queued
-// async jobs are journaled and re-enqueued after a crash, BeginDrain /
-// Drain implement graceful SIGTERM shutdown (stop admission, finish
-// in-flight work up to a deadline, cancel the rest), and an admission
-// controller sheds requests whose estimated queue wait already exceeds
-// their deadline.
+// completed result is appended to a write-ahead log before any waiter
+// sees it and replayed into the LRU on boot (restart-warm,
+// byte-identical cache hits), queued async jobs are journaled and
+// re-enqueued after a crash, BeginDrain / Drain implement graceful
+// SIGTERM shutdown (stop admission, finish in-flight work up to a
+// deadline, cancel the rest), and an admission controller sheds
+// requests whose estimated queue wait already exceeds their deadline.
 package serve
 
 import (
@@ -122,20 +122,29 @@ type PlanRequest struct {
 func (r PlanRequest) Fingerprint() string {
 	r.Model = r.Model.Canonical()
 	r.Options = r.Options.Canonical()
-	b, err := json.Marshal(r)
+	return fingerprintOf(r)
+}
+
+// fingerprintOf is the one hash behind every request shape's
+// fingerprint: SHA-256 over the canonical JSON of key, hex-encoded. The
+// digests are WAL keys and cluster ring positions, so their bytes must
+// never change (TestFingerprintsGolden pins them).
+func fingerprintOf(key any) string {
+	b, err := json.Marshal(key)
 	if err != nil {
-		// Both structs are plain data; Marshal cannot fail on them.
+		// Every key is plain, already-normalized data; Marshal cannot fail.
 		panic(fmt.Sprintf("serve: fingerprint marshal: %v", err))
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// flight is one in-progress computation — an optimization or a fleet
-// simulation — that any number of identical requests wait on. waiters
-// counts them; when the last one abandons the request, the flight's
-// context is cancelled and the computation aborts at its next
-// cancellation check (between MCMC iterations, between fleet events).
+// flight is one in-progress computation — an optimization, a
+// comparison, a fleet run or a sweep — that any number of identical
+// requests wait on. waiters counts them; when the last one abandons the
+// request, the flight's context is cancelled and the computation aborts
+// at its next cancellation check (between MCMC iterations, between fleet
+// events).
 // The result is held as `any`: the submitting path knows its concrete
 // type and casts on the way out, so one coalescing/caching machinery
 // serves every request shape.
@@ -157,11 +166,13 @@ type flight struct {
 	prog *telemetry.Progress
 	// Lifecycle timestamps for stage attribution, all under Service.mu:
 	// enqueued at creation, startedAt when a worker dequeues the task,
-	// finishedAt when the result is published. A waiter clips these
-	// intervals against its own wait window, so queue and search stages
-	// are correct for creators and late joiners alike.
+	// searchedAt when the computation returns, finishedAt when the result
+	// is published. A waiter clips these intervals against its own wait
+	// window, so queue, search and persist stages are correct for
+	// creators and late joiners alike.
 	enqueued   time.Time
 	startedAt  time.Time
+	searchedAt time.Time
 	finishedAt time.Time
 }
 
@@ -200,7 +211,6 @@ type Service struct {
 	// keyed by fingerprint; GET /v1/jobs/{id} serves them as `partial`.
 	partials map[string]*partialState
 	flights  map[string]*flight
-	compares map[string]*compareFlight
 	jobs     map[string]*job
 	jobID    uint64
 	jobSeq   []string // creation order, for bounded eviction
@@ -279,7 +289,6 @@ func New(cfg Config) *Service {
 		sim:      sim,
 		partials: make(map[string]*partialState),
 		flights:  make(map[string]*flight),
-		compares: make(map[string]*compareFlight),
 		jobs:     make(map[string]*job),
 		met:      met,
 	}
@@ -405,12 +414,12 @@ func (s *Service) Drain(ctx context.Context) error {
 	return derr
 }
 
-// awaitIdle polls until no flight (sync request, comparison or async
-// job) remains in flight, or ctx expires.
+// awaitIdle polls until no flight (sync request or async job) remains
+// in flight, or ctx expires.
 func (s *Service) awaitIdle(ctx context.Context) bool {
 	for {
 		s.mu.Lock()
-		idle := len(s.flights) == 0 && len(s.compares) == 0
+		idle := len(s.flights) == 0
 		s.mu.Unlock()
 		if idle {
 			return true
@@ -469,8 +478,8 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve 
 }
 
 // execute is the shared cache → coalesce → admit → queue → wait sequence
-// every flight-backed request shape (plan, fleet, sweep) rides. makeRun
-// is only invoked on the flight-creating path, outside the service lock:
+// every request shape (plan, compare, fleet, sweep) rides. makeRun is
+// only invoked on the flight-creating path, outside the service lock:
 // cache hits and coalesced joins are served by fingerprint alone, so
 // they never pay for request materialization (a cached fingerprint
 // implies the request was valid). The returned bool reports a cache hit.
@@ -520,23 +529,25 @@ func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flight
 	return res, false, err
 }
 
-// traceWait attributes a waiter's time on f to the queue and search
-// stages: the flight's [enqueued, started] and [started, finished]
-// intervals clipped to [joined, now]. For the creator the clip is the
-// whole flight; a joiner that arrived mid-search only claims its own
-// wait. Also copies the flight's search-progress counter into the trace.
+// traceWait attributes a waiter's time on f to the queue, search and
+// persist stages: the flight's [enqueued, started], [started, searched]
+// and [searched, finished] intervals clipped to [joined, now]. For the
+// creator the clip is the whole flight; a joiner that arrived mid-search
+// only claims its own wait. Also copies the flight's search-progress
+// counter into the trace.
 func (s *Service) traceWait(tr *telemetry.Trace, f *flight, joined time.Time) {
 	if tr == nil {
 		return
 	}
 	woke := time.Now()
 	s.mu.Lock()
-	enq, started, finished := f.enqueued, f.startedAt, f.finishedAt
+	enq, started, searched, finished := f.enqueued, f.startedAt, f.searchedAt, f.finishedAt
 	s.mu.Unlock()
 	tr.Add(telemetry.StageQueue, overlap(enq, started, joined, woke))
 	if !started.IsZero() {
-		tr.Add(telemetry.StageSearch, overlap(started, finished, joined, woke))
+		tr.Add(telemetry.StageSearch, overlap(started, searched, joined, woke))
 	}
+	tr.Add(telemetry.StagePersist, overlap(searched, finished, joined, woke))
 	tr.SetSearchProgress(f.prog.Load())
 	tr.SetWarm(f.prog.Warm())
 }
@@ -780,8 +791,19 @@ func (s *Service) runFlight(f *flight, run flightRun) {
 	s.finish(f, res, err)
 }
 
-// finish publishes a flight's result, caching successes.
+// finish publishes a flight's result. A success is appended to the
+// store before it is cached or any waiter is released, so no client ever
+// reads a result that a kill -9 could still lose; the append runs
+// outside the service lock, so a slow disk never stalls cache lookups.
+// Waiters book the append as their persist stage.
 func (s *Service) finish(f *flight, res any, err error) {
+	stored := err == nil && s.store != nil
+	if stored {
+		s.mu.Lock()
+		f.searchedAt = time.Now()
+		s.mu.Unlock()
+		s.persist(f.fp, res)
+	}
 	s.mu.Lock()
 	if s.flights[f.fp] == f {
 		delete(s.flights, f.fp)
@@ -791,30 +813,15 @@ func (s *Service) finish(f *flight, res any, err error) {
 	}
 	f.res, f.err = res, err
 	f.finishedAt = time.Now()
+	if !stored {
+		f.searchedAt = f.finishedAt
+	}
 	close(f.done)
 	s.mu.Unlock()
 	if err == nil {
 		s.met.optimizedDone()
-		// Persist outside the service lock: a slow disk must not stall
-		// cache lookups. One flight per fingerprint, so appends for a
-		// given fp never race. It also runs after close(done) — the
-		// response is already released — so the persist stage feeds the
-		// stage quantiles but never a request's own breakdown.
-		s.observedPersist(f.fp, res)
 	}
 	f.cancel()
-}
-
-// observedPersist is persist with its wall time folded into the persist
-// stage's quantile window (only when a store is configured; a no-op
-// persist would flood the window with zeros).
-func (s *Service) observedPersist(fp string, res any) {
-	if s.store == nil {
-		return
-	}
-	t0 := time.Now()
-	s.persist(fp, res)
-	s.tel.ObserveStage(telemetry.StagePersist, time.Since(t0))
 }
 
 // shedCheck is the admission controller: requests carrying a deadline
@@ -887,222 +894,54 @@ func CompareFingerprint(spec topoopt.ModelSpec, o topoopt.Options, archs []topoo
 	if len(archs) == 0 {
 		archs = topoopt.Architectures()
 	}
-	b, err := json.Marshal(compareKey{
+	return fingerprintOf(compareKey{
 		Kind:    "compare",
 		Model:   spec.Canonical(),
 		Options: o.Canonical(),
 		Archs:   archs,
 	})
-	if err != nil {
-		// Plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("serve: compare fingerprint marshal: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
 
-// compareFlight is one in-progress comparison that any number of
-// identical requests wait on — the compare-shaped sibling of flight
-// (which is hardwired to plans and their job onStart hooks). Comparisons
-// are the most expensive request type (up to a full registry of MCMC
-// sweeps), so they get the same waiter-refcounted coalescing: N
-// identical concurrent requests cost one sweep, and the sweep is
-// cancelled when its last waiter leaves. The two flights deliberately
-// share their locking protocol — unregister-then-close(done) under
-// Service.mu, cancel-on-last-abandon — so a fix to either must be
-// mirrored in the other.
-type compareFlight struct {
-	fp      string
-	ctx     context.Context
-	cancel  context.CancelFunc
-	done    chan struct{}
-	res     []topoopt.CompareResult
-	err     error
-	waiters int
-	// Lifecycle timestamps for stage attribution, mirroring flight's;
-	// all under Service.mu.
-	enqueued   time.Time
-	startedAt  time.Time
-	finishedAt time.Time
-}
-
-// Compare runs topoopt.CompareContext on the worker pool (bounded like
-// plans) with fingerprint-keyed caching and in-flight coalescing:
+// Compare runs topoopt.CompareContext as a flight, exactly like a plan:
 // comparisons are deterministic in (ModelSpec, Options, archs) — the
 // fingerprint includes each arch name — so a repeated sweep is served
-// from the shared LRU, and concurrent identical sweeps share one
-// execution. The per-request search-worker cap applies here too:
-// comparisons run the same parallel MCMC chains as plans and must not
-// bypass the SearchThreads budget. Returns the results, the request
-// fingerprint, and whether the results came from the cache.
+// from the shared LRU (and the WAL across restarts), concurrent
+// identical sweeps share one execution that is cancelled when its last
+// waiter leaves, and doomed ones are shed at admission. Returns the
+// results, the request fingerprint, and whether the results came from
+// the cache.
 func (s *Service) Compare(ctx context.Context, spec topoopt.ModelSpec, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture) ([]topoopt.CompareResult, string, bool, error) {
-	return s.compare(ctx, spec, m, o, archs, nil)
+	return s.compare(ctx, CompareFingerprint(spec, o, archs), m, o, archs, nil)
 }
 
-// compare is the core of Compare; tr, when non-nil, receives the stage
-// breakdown exactly as in plan (queue/search clipped to this waiter's
-// wait window).
-func (s *Service) compare(ctx context.Context, spec topoopt.ModelSpec, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture, tr *telemetry.Trace) ([]topoopt.CompareResult, string, bool, error) {
-	fp := CompareFingerprint(spec, o, archs)
-	tr.Start(telemetry.StageCache)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		tr.End()
-		return nil, fp, false, ErrClosed
+// compare is the core of Compare, keyed by the already-computed
+// fingerprint fp; tr, when non-nil, receives the stage breakdown
+// exactly as in plan.
+func (s *Service) compare(ctx context.Context, fp string, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture, tr *telemetry.Trace) ([]topoopt.CompareResult, string, bool, error) {
+	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
+		return s.compareRun(m, o, archs), nil
+	}, nil, tr)
+	if err != nil {
+		return nil, fp, hit, err
 	}
-	if s.draining {
-		s.mu.Unlock()
-		tr.End()
-		return nil, fp, false, ErrDraining
-	}
-	if v, ok := s.cache.get(fp); ok {
-		s.mu.Unlock()
-		tr.End()
-		s.met.cacheHit()
-		return v.([]topoopt.CompareResult), fp, true, nil
-	}
-	if f, ok := s.compares[fp]; ok {
-		f.waiters++
-		s.mu.Unlock()
-		tr.End()
-		s.met.coalesce()
-		joined := time.Now()
-		res, err := s.waitCompare(ctx, f)
-		s.traceCompareWait(tr, f, joined)
-		return res, fp, false, err
-	}
-	// About to occupy a queue slot: same admission shedding as plans
-	// (comparisons are the most expensive request type, so doomed ones
-	// waste the most).
-	tr.Start(telemetry.StageAdmission)
-	if serr := s.shedCheck(ctx); serr != nil {
-		s.mu.Unlock()
-		tr.End()
-		return nil, fp, false, serr
-	}
-	tr.Start(telemetry.StageCache)
-	fctx, cancel := context.WithCancel(s.baseCtx)
-	f := &compareFlight{fp: fp, ctx: fctx, cancel: cancel,
-		done: make(chan struct{}), waiters: 1, enqueued: time.Now()}
-	task := func() { s.runCompare(f, m, o, archs) }
-	select {
-	case s.queue <- task:
-		s.compares[fp] = f
-	default:
-		cancel()
-		s.mu.Unlock()
-		tr.End()
-		s.met.queueFullDrop()
-		return nil, fp, false, ErrQueueFull
-	}
-	s.mu.Unlock()
-	tr.End()
-	s.met.cacheMiss()
-	joined := time.Now()
-	res, err := s.waitCompare(ctx, f)
-	s.traceCompareWait(tr, f, joined)
-	return res, fp, false, err
+	return res.([]topoopt.CompareResult), fp, hit, nil
 }
 
-// traceCompareWait is traceWait for comparison flights (which have no
-// per-epoch progress sink; their searches span whole architecture
-// registries).
-func (s *Service) traceCompareWait(tr *telemetry.Trace, f *compareFlight, joined time.Time) {
-	if tr == nil {
-		return
-	}
-	woke := time.Now()
-	s.mu.Lock()
-	enq, started, finished := f.enqueued, f.startedAt, f.finishedAt
-	s.mu.Unlock()
-	tr.Add(telemetry.StageQueue, overlap(enq, started, joined, woke))
-	if !started.IsZero() {
-		tr.Add(telemetry.StageSearch, overlap(started, finished, joined, woke))
-	}
-}
-
-// runCompare executes one comparison flight on a worker.
-func (s *Service) runCompare(f *compareFlight, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture) {
-	s.mu.Lock()
-	f.startedAt = time.Now()
-	s.mu.Unlock()
-	if err := f.ctx.Err(); err != nil {
-		s.finishCompare(f, nil, err)
-		return
-	}
-	granted := s.chains.acquire(o.Parallelism)
-	defer s.chains.release(granted)
-	o.SearchWorkers = granted
-	t0 := time.Now()
-	res, err := topoopt.CompareContext(f.ctx, m, o, archs...)
-	if err == nil {
-		s.met.observeService(time.Since(t0).Seconds())
-	}
-	s.finishCompare(f, res, err)
-}
-
-// finishCompare publishes a comparison's result, caching successes.
-func (s *Service) finishCompare(f *compareFlight, res []topoopt.CompareResult, err error) {
-	s.mu.Lock()
-	if s.compares[f.fp] == f {
-		delete(s.compares, f.fp)
-	}
-	if err == nil {
-		s.cache.add(f.fp, res)
-	}
-	f.res, f.err = res, err
-	f.finishedAt = time.Now()
-	close(f.done)
-	s.mu.Unlock()
-	if err == nil {
-		s.observedPersist(f.fp, res)
-	}
-	f.cancel()
-}
-
-// waitCompare blocks until the comparison completes, the caller's ctx is
-// cancelled (dropping this waiter), or the service closes. As in
-// waitFlight, a completed result wins any race against cancellation.
-func (s *Service) waitCompare(ctx context.Context, f *compareFlight) ([]topoopt.CompareResult, error) {
-	select {
-	case <-f.done:
-		return f.res, f.err
-	case <-ctx.Done():
-		select {
-		case <-f.done:
-			return f.res, f.err
-		default:
+// compareRun adapts a comparison to the generic flight runner. Its
+// per-fabric searches run the same parallel MCMC chains as plans, so
+// they draw their workers from the shared chain budget too.
+func (s *Service) compareRun(m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture) flightRun {
+	return func(ctx context.Context) (any, error) {
+		granted := s.chains.acquire(o.Parallelism)
+		defer s.chains.release(granted)
+		o := o
+		o.SearchWorkers = granted
+		res, err := topoopt.CompareContext(ctx, m, o, archs...)
+		if err != nil {
+			return nil, err
 		}
-		s.abandonCompare(f)
-		return nil, ctx.Err()
-	case <-s.baseCtx.Done():
-		select {
-		case <-f.done:
-			return f.res, f.err
-		default:
-		}
-		return nil, ErrClosed
+		return res, nil
 	}
-}
-
-// abandonCompare drops one waiter; the last one out cancels the sweep
-// and unregisters it so a later identical request starts fresh.
-func (s *Service) abandonCompare(f *compareFlight) {
-	s.mu.Lock()
-	f.waiters--
-	if f.waiters <= 0 {
-		select {
-		case <-f.done:
-			// Already finished; nothing to cancel.
-		default:
-			if s.compares[f.fp] == f {
-				delete(s.compares, f.fp)
-			}
-			f.cancel()
-		}
-	}
-	s.mu.Unlock()
 }
 
 // Job states.
@@ -1179,16 +1018,10 @@ type FleetRequest struct {
 // (Seed, TraceSpec, Policy, Arch, ...), which is what makes caching whole
 // cluster runs sound.
 func FleetFingerprint(spec topoopt.FleetSpec) string {
-	b, err := json.Marshal(struct {
+	return fingerprintOf(struct {
 		Kind string            `json:"kind"`
 		Spec topoopt.FleetSpec `json:"spec"`
 	}{Kind: "fleet", Spec: spec.Canonical()})
-	if err != nil {
-		// Plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("serve: fleet fingerprint marshal: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
 
 // SubmitFleet validates spec and registers an async fleet-simulation job.
@@ -1238,17 +1071,11 @@ type sweepJournal struct {
 // "sweep" kind tag. The replica count is part of the key — a K=64 sweep
 // and a K=8 sweep of the same spec are different distributions.
 func SweepFingerprint(spec topoopt.FleetSpec, replicas int) string {
-	b, err := json.Marshal(struct {
+	return fingerprintOf(struct {
 		Kind     string            `json:"kind"`
 		Spec     topoopt.FleetSpec `json:"spec"`
 		Replicas int               `json:"replicas"`
 	}{Kind: "sweep", Spec: spec.Canonical(), Replicas: replicas})
-	if err != nil {
-		// Plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("serve: sweep fingerprint marshal: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
 
 // sweepRun adapts a Monte Carlo sweep to the generic flight runner. The
@@ -1385,14 +1212,17 @@ func (s *Service) submitAsync(fp string, run flightRun, kind string, journal []b
 		s.mu.Unlock()
 		return Job{}, err
 	}
+	// In both branches the journal is cleared before finish publishes the
+	// terminal status, so a job reported done never still has a journal
+	// entry.
 	if cached != nil {
-		finish(cached, nil)
 		// A journaled job resolving straight from the cache is terminal
 		// too: the boot-time re-submission path lands here when a job's
 		// put record survived a crash alongside its journal entry, and
 		// without the clear that entry would outlive every compaction and
 		// re-submit the job on every subsequent boot.
 		s.clearStaleJournal(kind, fp)
+		finish(cached, nil)
 		cancel()
 		s.jobWG.Done()
 	} else {
@@ -1401,7 +1231,6 @@ func (s *Service) submitAsync(fp string, run flightRun, kind string, journal []b
 			defer s.jobWG.Done()
 			defer cancel()
 			res, werr := s.waitFlight(jctx, f)
-			finish(res, werr)
 			// A job killed by shutdown (drain deadline or Close) is not
 			// terminal: its journal entry must survive so the next boot
 			// re-enqueues it. Success, genuine failure and user cancels
@@ -1409,6 +1238,7 @@ func (s *Service) submitAsync(fp string, run flightRun, kind string, journal []b
 			if !s.shutdownErr(werr) {
 				s.journalJobDone(kind, fp)
 			}
+			finish(res, werr)
 		}()
 	}
 	snap, _ := s.GetJob(id)
@@ -1553,7 +1383,7 @@ func (s *Service) Metrics() MetricsSnapshot {
 	s.mu.Lock()
 	snap.CacheEntries = s.cache.len()
 	snap.SimIndexEntries = s.sim.len()
-	snap.InFlight = len(s.flights) + len(s.compares)
+	snap.InFlight = len(s.flights)
 	snap.JobsTracked = len(s.jobs)
 	snap.WarmedEntries = s.warmed
 	snap.Draining = s.draining

@@ -79,6 +79,44 @@ func TestFingerprintDeterministicAndSeedSensitive(t *testing.T) {
 	}
 }
 
+// TestFingerprintsGolden pins the exact digests of one fixed request of
+// every shape. Fingerprints are WAL keys and cluster ring positions, so
+// a changed byte orphans every stored result and re-shards the cluster;
+// a change here must be deliberate.
+func TestFingerprintsGolden(t *testing.T) {
+	plan := PlanRequest{
+		Model: topoopt.ModelSpec{Preset: "dlrm", Section: "5.3"},
+		Options: topoopt.Options{Servers: 16, Degree: 4, LinkBandwidth: 100e9,
+			Rounds: 2, MCMCIters: 50, Seed: 7, Parallelism: 2},
+	}
+	cmpSpec := topoopt.ModelSpec{Preset: "bert"}
+	cmpOpts := topoopt.Options{Servers: 128, Degree: 4, LinkBandwidth: 25e9, Seed: 1}
+	fleet := topoopt.FleetSpec{
+		Servers: 8, Degree: 1, LinkBandwidth: 1e9,
+		Arch: "Fat-tree", Policy: "fifo", Provisioning: "ocs", Seed: 3,
+		Trace: topoopt.FleetTraceSpec{Inline: []topoopt.FleetJobSpec{
+			{AtS: 0, Workers: 4, FixedDurationS: 50},
+			{AtS: 1, Workers: 8, FixedDurationS: 20},
+		}},
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"plan", plan.Fingerprint(),
+			"dcb3699a9433ff8f84c77fbc9e1b060508d65b429507d5f47080e3d47160439b"},
+		{"compare", CompareFingerprint(cmpSpec, cmpOpts, []topoopt.Architecture{topoopt.ArchTorus, topoopt.ArchSiPRing}),
+			"6fa50bbbf3f4cd534db3bec8ffb89124c0b9679b5c8b898d7df3446b312e1cc5"},
+		{"compare all archs", CompareFingerprint(cmpSpec, cmpOpts, nil),
+			"4c4422177ad95a5e4ee2410085e5401dd679968bd5c8a69e870ef04169dd81fe"},
+		{"fleet", FleetFingerprint(fleet),
+			"cea2a029ce70cb810a6e974995593b0cead95fe424e927f2da556701b22d5622"},
+		{"sweep", SweepFingerprint(fleet, 16),
+			"7062ece8b637fdfbb5e01aa145151b755f6626adc0c26fe7c70ac33e59943554"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s fingerprint = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
 // TestCoalescingSingleOptimize is the tentpole acceptance check: N
 // concurrent identical requests trigger exactly one optimization.
 func TestCoalescingSingleOptimize(t *testing.T) {
@@ -810,6 +848,9 @@ func TestCompareCoalescing(t *testing.T) {
 	}
 	if snap.InFlight != 0 {
 		t.Errorf("in-flight = %d after completion, want 0", snap.InFlight)
+	}
+	if snap.Optimizations != 1 {
+		t.Errorf("optimizations = %d, want 1 completed comparison", snap.Optimizations)
 	}
 }
 

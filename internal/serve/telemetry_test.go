@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -112,6 +113,81 @@ func TestPlanTraceEndToEnd(t *testing.T) {
 	}
 	if snap.Stages["decode"].Count == 0 {
 		t.Error("metrics snapshot has no decode-stage observations")
+	}
+}
+
+// TestTraceWaitClipsPersist: the WAL append between a flight's search
+// and its release books as persist, clipped to each waiter's own window
+// like queue and search — a joiner that arrived mid-append claims only
+// the rest of the append and no search at all.
+func TestTraceWaitClipsPersist(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ms := time.Millisecond
+	t0 := time.Now().Add(-time.Second)
+	f := &flight{enqueued: t0, startedAt: t0.Add(ms), searchedAt: t0.Add(3 * ms), finishedAt: t0.Add(6 * ms)}
+	stages := func(joined time.Time) map[string]float64 {
+		tr := s.tel.Begin("plan")
+		s.traceWait(tr, f, joined)
+		tr.Finish("", false, http.StatusOK)
+		got := map[string]float64{}
+		for _, sp := range s.tel.Requests()[0].Stages {
+			got[sp.Stage] = sp.Seconds
+		}
+		return got
+	}
+	if got, want := stages(t0), map[string]float64{"queue": 1e-3, "search": 2e-3, "persist": 3e-3}; !equalStages(got, want) {
+		t.Errorf("creator stages = %v, want %v", got, want)
+	}
+	if got, want := stages(t0.Add(4*ms)), map[string]float64{"persist": 2e-3}; !equalStages(got, want) {
+		t.Errorf("mid-append joiner stages = %v, want %v", got, want)
+	}
+}
+
+func equalStages(got, want map[string]float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for k, v := range want {
+		if math.Abs(got[k]-v) > 1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPersistStageOnlyWithStore: a miss on a stored daemon answers only
+// once its result is on the log, and the append shows as that request's
+// persist stage; a daemon without a store never shows one.
+func TestPersistStageOnlyWithStore(t *testing.T) {
+	for _, stored := range []bool{false, true} {
+		var store *Store
+		if stored {
+			var err error
+			if store, err = OpenStore(t.TempDir()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := New(Config{Workers: 1, Store: store, Optimize: func(ctx context.Context, m *topoopt.Model, o topoopt.Options) (*topoopt.Plan, error) {
+			return stubPlan(t), nil
+		}})
+		ts := httptest.NewServer(s.Handler())
+		resp := tracePlan(t, ts, testRequest(1))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stored=%v: status %d", stored, resp.StatusCode)
+		}
+		if stored && store.Len() != 1 {
+			t.Errorf("store holds %d entries when the response arrived, want 1", store.Len())
+		}
+		if got := strings.Contains(resp.Header.Get("X-Trace"), ";persist="); got != stored {
+			t.Errorf("stored=%v: X-Trace %q persist stage present = %v", stored, resp.Header.Get("X-Trace"), got)
+		}
+		if _, got := s.Metrics().Stages["persist"]; got != stored {
+			t.Errorf("stored=%v: persist stage summary present = %v", stored, got)
+		}
+		ts.Close()
+		s.Close()
 	}
 }
 

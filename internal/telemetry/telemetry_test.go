@@ -99,7 +99,6 @@ func TestNilTraceSafe(t *testing.T) {
 	if reg.Begin("x") != nil {
 		t.Fatal("nil registry Begin returned a trace")
 	}
-	reg.ObserveStage(StagePersist, time.Second)
 	if reg.Requests() != nil || reg.StageSummaries() != nil {
 		t.Fatal("nil registry snapshots not nil")
 	}
@@ -219,10 +218,18 @@ func TestStageString(t *testing.T) {
 	}
 }
 
-func TestObserveStageAndSummaries(t *testing.T) {
+// observe publishes one trace that spent d in stage s and nothing
+// anywhere else: the only way a duration reaches the stage windows.
+func observe(reg *Registry, s Stage, d time.Duration) {
+	tr := reg.Begin("plan")
+	tr.Add(s, d)
+	tr.Finish("", false, 200)
+}
+
+func TestStageSummariesFromTraces(t *testing.T) {
 	reg := NewRegistry(2)
 	for i := 1; i <= 100; i++ {
-		reg.ObserveStage(StagePersist, time.Duration(i)*time.Millisecond)
+		observe(reg, StagePersist, time.Duration(i)*time.Millisecond)
 	}
 	sums := reg.StageSummaries()
 	p, ok := sums["persist"]
@@ -257,10 +264,10 @@ func TestObserveStageAndSummaries(t *testing.T) {
 func TestStageWindowWraps(t *testing.T) {
 	reg := NewRegistry(2)
 	for i := 0; i < stageWindow; i++ {
-		reg.ObserveStage(StageSearch, time.Second)
+		observe(reg, StageSearch, time.Second)
 	}
 	for i := 0; i < stageWindow; i++ {
-		reg.ObserveStage(StageSearch, time.Millisecond)
+		observe(reg, StageSearch, time.Millisecond)
 	}
 	s := reg.StageSummaries()["search"]
 	if s.Count != 2*stageWindow {

@@ -37,9 +37,9 @@ const (
 	StageQueue
 	// StageSearch is the MCMC optimization itself (clipped likewise).
 	StageSearch
-	// StagePersist is the write-ahead-log append of a completed result.
-	// It happens after the response is released, so it feeds the stage
-	// quantiles but never appears in a request's own breakdown.
+	// StagePersist is the write-ahead-log append of a completed result,
+	// which happens before any waiter is released (clipped likewise; a
+	// daemon without a store never books it).
 	StagePersist
 	// StageEncode is response serialization.
 	StageEncode
@@ -236,18 +236,6 @@ func (r *Registry) Begin(endpoint string) *Trace {
 	t.t0 = time.Now()
 	t.endpoint = endpoint
 	return t
-}
-
-// ObserveStage folds one externally measured duration (e.g. a WAL
-// persist that completes after its request was answered) into a stage's
-// quantile window without going through a Trace.
-func (r *Registry) ObserveStage(s Stage, d time.Duration) {
-	if r == nil || s >= NumStages || d < 0 {
-		return
-	}
-	r.mu.Lock()
-	r.stages[s].observe(d.Seconds())
-	r.mu.Unlock()
 }
 
 // record is the ring's value-typed entry: fixed-size so publishing a
