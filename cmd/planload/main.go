@@ -1,24 +1,30 @@
 // Command planload is the load generator and SLO harness for topooptd.
+// Every load runs on the internal/slo engine, in one of three modes:
 //
-// Closed-loop mode (the default) fires -n concurrent POST /v1/plan
-// requests from -c workers, optionally spreading them over several
-// seeds to control the cache hit ratio, and reports client-side latency
-// quantiles (p50/p90/p99/max, broken down per endpoint and per outcome
-// class so retry/backoff time never skews the success numbers), an
-// error taxonomy (connect / timeout / 4xx / 5xx / retry-exhausted)
-// plus the server's own /v1/metrics counters afterwards.
+// Closed loop (the default) fires -n POST /v1/plan requests from -c
+// workers, each waiting for its reply before sending the next.
 //
-// Open-loop mode (-open-loop -rate R -duration D) offers requests on a
+// Open loop (-open-loop -rate R -duration D) offers requests on a
 // seeded Poisson arrival schedule that never waits for responses, so a
 // saturated server faces the full offered rate instead of a politely
-// self-throttling worker pool. The run reports time-bucketed
-// p50/p99/p999 latencies and can be gated (-slo-p99, -max-errors):
-// a failed gate exits nonzero, which is what `make slo-smoke` keys on.
+// self-throttling worker pool.
 //
-// Saturation mode (-saturate -rate-min A -rate-max B) binary-searches
-// the highest offered rate that still meets the gate, probing the
-// bracket ends first and then bisecting -sat-iters times; the reported
-// rate is always one the server was measured to sustain.
+// Saturation (-saturate -rate-min A -rate-max B) binary-searches the
+// highest open-loop rate that still meets the gate, probing the bracket
+// ends first and then bisecting -sat-iters times; the reported rate is
+// always one the server was measured to sustain.
+//
+// Closed- and open-loop runs report time-bucketed p50/p99/p999
+// latencies plus one row per request class — exact-hit, warm or cold
+// for a success, the failure outcome otherwise — so retry/backoff time
+// never skews the success numbers, and can be gated (-slo-p99,
+// -max-errors): a failed gate exits nonzero, which is what
+// `make slo-smoke` keys on. A text report continues with the HTTP
+// statuses, the error taxonomy (connect / timeout / 4xx / 5xx /
+// retry-exhausted) and each daemon's own /v1/metrics counters.
+// -seeds spreads requests over several seeds to control the cache hit
+// ratio, and -warm-mix fires a fraction of them as near-miss
+// perturbations that exercise the server's similarity warm starts.
 //
 // -addr accepts a comma-separated list of daemons: requests round-robin
 // across them, which is how a sharded topooptd cluster is loaded (any
@@ -27,9 +33,9 @@
 // and requires the plan payloads to be byte-identical regardless of
 // entry peer — the sharding correctness invariant.
 //
-// -json emits the open-loop report (or saturation report) as JSON;
-// -bench appends `go test -bench`-style lines so the benchdiff ledger
-// can ingest an SLO trajectory with the machinery it already has.
+// -json emits the run (or saturation) report as JSON; -bench appends
+// `go test -bench`-style lines so the benchdiff ledger can ingest an
+// SLO trajectory with the machinery it already has.
 //
 // Plan requests are idempotent (fingerprint-keyed and cached server
 // side), so -retries re-sends failed requests with capped exponential
@@ -57,14 +63,16 @@ import (
 	"topoopt/internal/clientretry"
 	"topoopt/internal/serve"
 	"topoopt/internal/slo"
-	"topoopt/internal/stats"
 )
 
-// runConfig is the parsed flag surface of one planload invocation.
+// runConfig is the parsed flag surface of one planload invocation. The
+// embedded slo.Config carries the load shape: -n/-c (Requests/Clients)
+// for a closed loop, -rate/-duration for an open loop, and -bucket and
+// -slo-seed for both.
 type runConfig struct {
 	Addrs []string
+	slo.Config
 
-	N, C      int
 	Model     string
 	Section   string
 	Servers   int
@@ -81,10 +89,6 @@ type runConfig struct {
 	Scenario  string
 
 	OpenLoop  bool
-	Rate      float64
-	Duration  time.Duration
-	Bucket    time.Duration
-	Seed      int64
 	SLOP99    time.Duration
 	MaxErrors int
 
@@ -103,8 +107,8 @@ func parseFlags(args []string) (runConfig, error) {
 	var cfg runConfig
 	fs := flag.NewFlagSet("planload", flag.ContinueOnError)
 	addr := fs.String("addr", "http://localhost:7070", "topooptd base URL, or a comma-separated list to round-robin across a sharded cluster")
-	fs.IntVar(&cfg.N, "n", 100, "total requests (closed-loop mode)")
-	fs.IntVar(&cfg.C, "c", 8, "concurrent clients (closed-loop mode)")
+	fs.IntVar(&cfg.Requests, "n", 100, "total requests (closed-loop mode)")
+	fs.IntVar(&cfg.Clients, "c", 8, "concurrent clients (closed-loop mode)")
 	fs.StringVar(&cfg.Model, "model", "bert", "workload preset")
 	fs.StringVar(&cfg.Section, "section", "6", "preset section: 5.3, 5.6 or 6")
 	fs.IntVar(&cfg.Servers, "servers", 12, "servers (n)")
@@ -123,7 +127,7 @@ func parseFlags(args []string) (runConfig, error) {
 	fs.BoolVar(&cfg.OpenLoop, "open-loop", false, "offer requests on a Poisson schedule at -rate instead of the closed worker pool")
 	fs.Float64Var(&cfg.Rate, "rate", 0, "offered arrival rate in req/s (open-loop mode)")
 	fs.DurationVar(&cfg.Duration, "duration", 10*time.Second, "open-loop run duration")
-	fs.DurationVar(&cfg.Bucket, "bucket", time.Second, "open-loop latency bucketing period")
+	fs.DurationVar(&cfg.Bucket, "bucket", time.Second, "latency bucketing period")
 	fs.Int64Var(&cfg.Seed, "slo-seed", 1, "arrival-schedule seed (deterministic per (rate, duration, seed))")
 	fs.DurationVar(&cfg.SLOP99, "slo-p99", 0, "SLO gate: fail (exit 1) when overall p99 exceeds this (0 = no latency gate)")
 	fs.IntVar(&cfg.MaxErrors, "max-errors", -1, "SLO gate: fail when errors exceed this (-1 = no error gate)")
@@ -133,7 +137,7 @@ func parseFlags(args []string) (runConfig, error) {
 	fs.Float64Var(&cfg.RateMax, "rate-max", 500, "saturation search bracket maximum (req/s)")
 	fs.IntVar(&cfg.SatIters, "sat-iters", 5, "saturation search bisection steps after the bracket probes")
 
-	fs.BoolVar(&cfg.JSONOut, "json", false, "emit the open-loop/saturation report as JSON")
+	fs.BoolVar(&cfg.JSONOut, "json", false, "emit the run or saturation report as JSON")
 	fs.BoolVar(&cfg.Bench, "bench", false, "append go-test-bench-style lines for the benchdiff ledger")
 	fs.StringVar(&cfg.BenchPrefix, "bench-prefix", "ServeSLO", "benchmark name prefix for -bench lines")
 	fs.BoolVar(&cfg.Verify, "verify-identical", false, "POST one identical request to every -addr and require byte-identical plans")
@@ -148,7 +152,7 @@ func parseFlags(args []string) (runConfig, error) {
 		}
 		cfg.Addrs = append(cfg.Addrs, a)
 	}
-	if cfg.N <= 0 || cfg.C <= 0 || cfg.Seeds <= 0 {
+	if cfg.Requests <= 0 || cfg.Clients <= 0 || cfg.Seeds <= 0 {
 		return cfg, fmt.Errorf("-n, -c and -seeds must be positive")
 	}
 	if cfg.Retries < 0 {
@@ -190,12 +194,19 @@ func main() {
 // run executes one planload invocation and returns the process exit
 // code (1 on a failed SLO gate or identity check, 0 otherwise).
 func run(cfg runConfig, out io.Writer) (int, error) {
-	endpoint, path := "plan", "/v1/plan"
-	var bodies, warmBodies [][]byte
+	l := &loader{
+		client:   &http.Client{Timeout: 5 * time.Minute},
+		retrier:  clientretry.New(clientretry.Policy{MaxRetries: cfg.Retries, Base: cfg.Backoff, Seed: 1}),
+		addrs:    cfg.Addrs,
+		endpoint: "plan", path: "/v1/plan",
+		warmMix:  cfg.WarmMix,
+		statuses: map[int]int{},
+		tally:    newTally(),
+	}
 	var err error
 	if cfg.Sweep > 0 {
-		endpoint, path = "sweep", "/v1/sweep"
-		bodies, err = sweepBodies(cfg.Scenario, cfg.Sweep, cfg.Seeds)
+		l.endpoint, l.path = "sweep", "/v1/sweep"
+		l.bodies, err = sweepBodies(cfg.Scenario, cfg.Sweep, cfg.Seeds)
 	} else {
 		spec := loadSpec{
 			Model: cfg.Model, Section: cfg.Section,
@@ -203,122 +214,59 @@ func run(cfg runConfig, out io.Writer) (int, error) {
 			MCMCIters: cfg.MCMC, Rounds: cfg.Rounds, Parallelism: cfg.Parallel,
 			Seeds: cfg.Seeds,
 		}
-		bodies, err = requestBodies(spec)
+		l.bodies, err = requestBodies(spec)
 		if err == nil && cfg.WarmMix > 0 {
 			// Near-miss population: same model and server count (the
 			// similarity index's hard-match key) at far-away seeds, so each
 			// is an exact-fingerprint miss the server can warm-start from
 			// whatever the base population has already cached.
-			warm := spec
-			warm.SeedBase = 10000
-			warmBodies, err = requestBodies(warm)
+			spec.SeedBase = 10000
+			l.warmBodies, err = requestBodies(spec)
 		}
 	}
 	if err != nil {
 		return 1, err
 	}
 
-	client := &http.Client{Timeout: 5 * time.Minute}
-	retrier := clientretry.New(clientretry.Policy{
-		MaxRetries: cfg.Retries, Base: cfg.Backoff, Seed: 1,
-	})
-
 	if cfg.Verify {
-		if err := verifyIdentical(client, cfg.Addrs, path, bodies[0]); err != nil {
+		if err := verifyIdentical(l.client, cfg.Addrs, l.path, l.bodies[0]); err != nil {
 			fmt.Fprintf(out, "verify-identical: FAIL: %v\n", err)
 			return 1, nil
 		}
 		fmt.Fprintf(out, "verify-identical: OK: %d daemons returned byte-identical plans\n", len(cfg.Addrs))
 		return 0, nil
 	}
+
+	if !cfg.JSONOut {
+		fmt.Fprintf(out, "planload: %s on %d daemon(s), %d seed(s)\n", l.path, len(cfg.Addrs), cfg.Seeds)
+	}
+	load := cfg.Config
+	load.Fire = l.fireRequest
+	if cfg.OpenLoop || cfg.Saturate {
+		load.Clients = 0 // open loop: -n and -c do not apply
+	}
+	var (
+		rep         any
+		text, bench string
+		pass        = true
+	)
 	if cfg.Saturate {
-		return runSaturate(cfg, out, client, retrier, path, bodies)
-	}
-	if cfg.OpenLoop {
-		return runOpenLoop(cfg, out, client, retrier, path, bodies)
-	}
-	return runClosedLoop(cfg, out, client, retrier, endpoint, path, bodies, warmBodies)
-}
-
-// fireRequest issues one request (round-robin over addrs by index,
-// cycling bodies) through the retrier, reading the full body inside the
-// retry loop. It reports the outcome into rec and whether the request
-// ultimately succeeded.
-func fireRequest(client *http.Client, retrier *clientretry.Retrier, addrs []string, path string, bodies [][]byte, rec *recorder, i int) bool {
-	addr := addrs[i%len(addrs)]
-	body := bodies[i%len(bodies)]
-	resp, raw, outcome, err := retrier.DoRead(client, true, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, addr+path, bytes.NewReader(body))
+		sat, err := saturate(cfg, out, load)
 		if err != nil {
-			return nil, err
+			return 1, err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	rec.record(resp, raw, outcome, err)
-	return outcome == clientretry.OK
-}
+		rep, text, bench, pass = sat, saturationText(cfg, sat), sat.BenchLine(cfg.BenchPrefix), sat.SaturationRate > 0
+	} else {
+		r, err := slo.Run(load)
+		if err != nil {
+			return 1, err
+		}
+		if cfg.SLOP99 > 0 || cfg.MaxErrors >= 0 {
+			pass = r.Apply(cfg.SLOP99, cfg.MaxErrors)
+		}
+		rep, text, bench = r, r.String(), r.BenchLines(cfg.BenchPrefix)
+	}
 
-// recorder accumulates per-status and taxonomy counts across a run.
-type recorder struct {
-	mu       sync.Mutex
-	statuses map[int]int
-	tally    *tally
-	cached   int
-}
-
-func newRecorder() *recorder {
-	return &recorder{statuses: map[int]int{}, tally: newTally()}
-}
-
-func (r *recorder) record(resp *http.Response, raw []byte, out clientretry.Outcome, err error) {
-	var cr struct {
-		Cached bool `json:"cached"`
-	}
-	hit := resp != nil && resp.StatusCode == http.StatusOK &&
-		json.Unmarshal(raw, &cr) == nil && cr.Cached
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tally.add(out, err)
-	if resp != nil {
-		r.statuses[resp.StatusCode]++
-	}
-	if hit {
-		r.cached++
-	}
-}
-
-func (r *recorder) report(out io.Writer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	codes := make([]int, 0, len(r.statuses))
-	for code := range r.statuses {
-		codes = append(codes, code)
-	}
-	sort.Ints(codes)
-	for _, code := range codes {
-		fmt.Fprintf(out, "  HTTP %d: %d\n", code, r.statuses[code])
-	}
-	fmt.Fprint(out, r.tally.report("  "))
-	fmt.Fprintf(out, "  cache-hit responses: %d\n", r.cached)
-}
-
-// runOpenLoop offers the Poisson schedule and renders/gates the report.
-func runOpenLoop(cfg runConfig, out io.Writer, client *http.Client, retrier *clientretry.Retrier, path string, bodies [][]byte) (int, error) {
-	rec := newRecorder()
-	rep, err := slo.Run(slo.Config{
-		Rate: cfg.Rate, Duration: cfg.Duration, Bucket: cfg.Bucket, Seed: cfg.Seed,
-		Fire: func(i int) slo.Result {
-			return slo.Result{Err: !fireRequest(client, retrier, cfg.Addrs, path, bodies, rec, i)}
-		},
-	})
-	if err != nil {
-		return 1, err
-	}
-	pass := true
-	if cfg.SLOP99 > 0 || cfg.MaxErrors >= 0 {
-		pass = rep.Apply(cfg.SLOP99, cfg.MaxErrors)
-	}
 	if cfg.JSONOut {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
@@ -326,11 +274,12 @@ func runOpenLoop(cfg runConfig, out io.Writer, client *http.Client, retrier *cli
 			return 1, err
 		}
 	} else {
-		fmt.Fprint(out, rep.String())
-		rec.report(out)
+		fmt.Fprint(out, text)
+		l.report(out)
+		serverMetrics(out, l.client, cfg.Addrs)
 	}
 	if cfg.Bench {
-		fmt.Fprint(out, rep.BenchLines(cfg.BenchPrefix))
+		fmt.Fprint(out, bench)
 	}
 	if !pass {
 		return 1, nil
@@ -338,52 +287,150 @@ func runOpenLoop(cfg runConfig, out io.Writer, client *http.Client, retrier *cli
 	return 0, nil
 }
 
-// runSaturate binary-searches the sustainable rate, each probe a full
-// open-loop measurement over -duration.
-func runSaturate(cfg runConfig, out io.Writer, client *http.Client, retrier *clientretry.Retrier, path string, bodies [][]byte) (int, error) {
-	rec := newRecorder()
-	rep, err := slo.Saturate(slo.SearchConfig{
+// loader fires one invocation's requests — every closed-loop request,
+// open-loop arrival and saturation probe — and accumulates the HTTP
+// status, failure-taxonomy and cache-hit counts its text report lists.
+type loader struct {
+	client     *http.Client
+	retrier    *clientretry.Retrier
+	addrs      []string
+	endpoint   string // class-label prefix: "plan" or "sweep"
+	path       string
+	bodies     [][]byte
+	warmBodies [][]byte // -warm-mix near-miss population; nil without it
+	warmMix    float64
+
+	mu       sync.Mutex
+	statuses map[int]int
+	tally    *tally
+	cached   int
+}
+
+// fireRequest issues request i through the retrier, reading the full body
+// inside the retry loop. The daemon round-robins over addrs by index,
+// and the body cycles through the base population, or through the
+// near-miss one for the indices warmPick selects. The result's class is
+// endpoint/exact-hit for a cached answer, endpoint/warm or endpoint/cold
+// for a computed one, and endpoint/<outcome> for a failure.
+func (l *loader) fireRequest(i int) slo.Result {
+	addr := l.addrs[i%len(l.addrs)]
+	body, warm := l.bodies[i%len(l.bodies)], false
+	if len(l.warmBodies) > 0 && warmPick(i, l.warmMix) {
+		body, warm = l.warmBodies[i%len(l.warmBodies)], true
+	}
+	resp, raw, outcome, err := l.retrier.DoRead(l.client, true, func() (*http.Request, error) {
+		req, err := http.NewRequest(http.MethodPost, addr+l.path, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		return req, nil
+	})
+	// Both response shapes carry a top-level "cached" flag.
+	var cr struct {
+		Cached bool `json:"cached"`
+	}
+	hit := outcome == clientretry.OK && json.Unmarshal(raw, &cr) == nil && cr.Cached
+	class := "cold"
+	switch {
+	case outcome != clientretry.OK:
+		class = outcome.String()
+	case hit:
+		class = "exact-hit"
+	case warm:
+		class = "warm"
+	}
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.tally.add(outcome, err)
+	if resp != nil {
+		l.statuses[resp.StatusCode]++
+	}
+	if hit {
+		l.cached++
+	}
+	return slo.Result{Err: outcome != clientretry.OK, Class: l.endpoint + "/" + class}
+}
+
+func (l *loader) report(out io.Writer) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	codes := make([]int, 0, len(l.statuses))
+	for code := range l.statuses {
+		codes = append(codes, code)
+	}
+	sort.Ints(codes)
+	for _, code := range codes {
+		fmt.Fprintf(out, "  HTTP %d: %d\n", code, l.statuses[code])
+	}
+	fmt.Fprint(out, l.tally.report("  "))
+	fmt.Fprintf(out, "  cache-hit responses: %d\n", l.cached)
+}
+
+// saturate binary-searches the sustainable rate, each probe a full
+// open-loop run of load at the probed rate over -duration.
+func saturate(cfg runConfig, out io.Writer, load slo.Config) (*slo.SaturationReport, error) {
+	return slo.Saturate(slo.SearchConfig{
 		MinRate: cfg.RateMin, MaxRate: cfg.RateMax, Iters: cfg.SatIters,
 		TargetP99: cfg.SLOP99, MaxErrors: cfg.MaxErrors,
 		Measure: func(rate float64) (*slo.Report, error) {
 			if !cfg.JSONOut {
 				fmt.Fprintf(out, "probe %.1f req/s for %s...\n", rate, cfg.Duration)
 			}
-			return slo.Run(slo.Config{
-				Rate: rate, Duration: cfg.Duration, Bucket: cfg.Bucket, Seed: cfg.Seed,
-				Fire: func(i int) slo.Result {
-					return slo.Result{Err: !fireRequest(client, retrier, cfg.Addrs, path, bodies, rec, i)}
-				},
-			})
+			load.Rate = rate
+			return slo.Run(load)
 		},
 	})
-	if err != nil {
-		return 1, err
-	}
-	if cfg.JSONOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return 1, err
+}
+
+// saturationText renders each probe's verdict and the rate found.
+func saturationText(cfg runConfig, rep *slo.SaturationReport) string {
+	var b strings.Builder
+	for _, s := range rep.Steps {
+		verdict := "fail"
+		if s.Pass {
+			verdict = "pass"
 		}
-	} else {
-		for _, s := range rep.Steps {
-			verdict := "fail"
-			if s.Pass {
-				verdict = "pass"
+		fmt.Fprintf(&b, "  %8.1f req/s: p99 %8.1fms errors %d %s\n", s.Rate, s.P99Seconds*1e3, s.Errors, verdict)
+	}
+	fmt.Fprintf(&b, "saturation: %.1f req/s (bracket [%g, %g], target p99 %s)\n",
+		rep.SaturationRate, cfg.RateMin, cfg.RateMax, cfg.SLOP99)
+	return b.String()
+}
+
+// serverMetrics prints each daemon's own /v1/metrics counters, or why
+// they could not be read.
+func serverMetrics(out io.Writer, client *http.Client, addrs []string) {
+	for _, addr := range addrs {
+		var m serve.MetricsSnapshot
+		resp, err := client.Get(addr + "/v1/metrics")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&m)
+			resp.Body.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(out, "server %s: metrics unavailable: %v\n", addr, err)
+			continue
+		}
+		fmt.Fprintf(out, "server %s: hits=%d misses=%d coalesced=%d optimizations=%d queue=%d/%d shed=%d warmed=%d warm-starts=%d (improved %d) sim-index=%d\n",
+			addr, m.CacheHits, m.CacheMisses, m.Coalesced, m.Optimizations, m.QueueDepth, m.QueueCapacity,
+			m.Shed, m.WarmedEntries, m.WarmStarts, m.WarmStartImproved, m.SimIndexEntries)
+		if m.ForwardedServed > 0 || len(m.Forwarded) > 0 {
+			fwd, fb := int64(0), int64(0)
+			for _, v := range m.Forwarded {
+				fwd += v
 			}
-			fmt.Fprintf(out, "  %8.1f req/s: p99 %8.1fms errors %d %s\n", s.Rate, s.P99Seconds*1e3, s.Errors, verdict)
+			for _, v := range m.ForwardFallbacks {
+				fb += v
+			}
+			fmt.Fprintf(out, "server %s: forwarded=%d forward-fallbacks=%d forwarded-served=%d\n", addr, fwd, fb, m.ForwardedServed)
 		}
-		fmt.Fprintf(out, "saturation: %.1f req/s (bracket [%g, %g], target p99 %s)\n",
-			rep.SaturationRate, cfg.RateMin, cfg.RateMax, cfg.SLOP99)
+		if m.Latency.Count > 0 {
+			fmt.Fprintf(out, "server %s latency: p50=%.4gs p99=%.4gs max=%.4gs over %d requests\n",
+				addr, m.Latency.P50Seconds, m.Latency.P99Seconds, m.Latency.MaxSeconds, m.Latency.Count)
+		}
 	}
-	if cfg.Bench {
-		fmt.Fprint(out, rep.BenchLine(cfg.BenchPrefix))
-	}
-	if rep.SaturationRate <= 0 {
-		return 1, nil
-	}
-	return 0, nil
 }
 
 // verifyIdentical POSTs one identical request to every daemon and
@@ -434,140 +481,8 @@ func verifyIdentical(client *http.Client, addrs []string, path string, body []by
 	return nil
 }
 
-// runClosedLoop is the original worker-pool load mode.
-func runClosedLoop(cfg runConfig, out io.Writer, client *http.Client, retrier *clientretry.Retrier, endpoint, path string, bodies, warmBodies [][]byte) (int, error) {
-	var (
-		mu       sync.Mutex
-		statuses = map[int]int{}
-		cached   int
-		ty       = newTally()
-		hist     = newLatHist()
-		// classes buckets successful plan latencies by how the request was
-		// served: "exact-hit" (cache), "warm" (near-miss perturbation) or
-		// "cold" (base request, full search). Only populated with -warm-mix.
-		classes = map[string][]float64{}
-	)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.C; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				addr := cfg.Addrs[i%len(cfg.Addrs)]
-				body := bodies[i%len(bodies)]
-				isWarm := false
-				if len(warmBodies) > 0 && warmPick(i, cfg.WarmMix) {
-					body, isWarm = warmBodies[i%len(warmBodies)], true
-				}
-				t0 := time.Now()
-				resp, raw, outcome, err := retrier.DoRead(client, true, func() (*http.Request, error) {
-					req, err := http.NewRequest(http.MethodPost, addr+path, bytes.NewReader(body))
-					if err != nil {
-						return nil, err
-					}
-					req.Header.Set("Content-Type", "application/json")
-					return req, nil
-				})
-				lat := time.Since(t0).Seconds()
-				mu.Lock()
-				ty.add(outcome, err)
-				if resp != nil {
-					statuses[resp.StatusCode]++
-				}
-				hist.observe(endpoint, outcome, lat)
-				mu.Unlock()
-				if resp == nil {
-					continue
-				}
-				// Both response shapes carry a top-level "cached" flag.
-				var cr struct {
-					Cached bool `json:"cached"`
-				}
-				if resp.StatusCode == http.StatusOK && json.Unmarshal(raw, &cr) == nil {
-					mu.Lock()
-					if cr.Cached {
-						cached++
-					}
-					if len(warmBodies) > 0 {
-						// Serving class: a cached response is an exact hit
-						// regardless of which population fired it; misses
-						// split by population (warm = near-miss perturbation
-						// the server can similarity-seed, cold = base).
-						class := "cold"
-						switch {
-						case cr.Cached:
-							class = "exact-hit"
-						case isWarm:
-							class = "warm"
-						}
-						classes[class] = append(classes[class], lat)
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < cfg.N; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	fmt.Fprintf(out, "planload: %d requests, %d clients, %d seed(s), %d daemon(s) in %.2fs (%.1f req/s)\n",
-		cfg.N, cfg.C, cfg.Seeds, len(cfg.Addrs), elapsed.Seconds(), float64(cfg.N)/elapsed.Seconds())
-	codes := make([]int, 0, len(statuses))
-	for code := range statuses {
-		codes = append(codes, code)
-	}
-	sort.Ints(codes)
-	for _, code := range codes {
-		fmt.Fprintf(out, "  HTTP %d: %d\n", code, statuses[code])
-	}
-	fmt.Fprint(out, ty.report("  "))
-	if ok := hist.ok(endpoint); len(ok) > 0 {
-		fmt.Fprintf(out, "  latency: %s\n", stats.Summary(ok))
-		fmt.Fprintf(out, "  cache-hit responses: %d\n", cached)
-	}
-	fmt.Fprint(out, hist.report("  "))
-	fmt.Fprint(out, classReport("  ", classes))
-
-	for _, addr := range cfg.Addrs {
-		resp, err := client.Get(addr + "/v1/metrics")
-		if err != nil {
-			return 1, fmt.Errorf("fetching server metrics: %w", err)
-		}
-		var m serve.MetricsSnapshot
-		err = json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if err != nil {
-			return 1, fmt.Errorf("decoding server metrics: %w", err)
-		}
-		fmt.Fprintf(out, "server %s: hits=%d misses=%d coalesced=%d optimizations=%d queue=%d/%d shed=%d warmed=%d warm-starts=%d (improved %d) sim-index=%d\n",
-			addr, m.CacheHits, m.CacheMisses, m.Coalesced, m.Optimizations, m.QueueDepth, m.QueueCapacity,
-			m.Shed, m.WarmedEntries, m.WarmStarts, m.WarmStartImproved, m.SimIndexEntries)
-		if m.ForwardedServed > 0 || len(m.Forwarded) > 0 {
-			fwd, fb := int64(0), int64(0)
-			for _, v := range m.Forwarded {
-				fwd += v
-			}
-			for _, v := range m.ForwardFallbacks {
-				fb += v
-			}
-			fmt.Fprintf(out, "server %s: forwarded=%d forward-fallbacks=%d forwarded-served=%d\n", addr, fwd, fb, m.ForwardedServed)
-		}
-		if m.Latency.Count > 0 {
-			fmt.Fprintf(out, "server %s latency: p50=%.4gs p99=%.4gs max=%.4gs over %d requests\n",
-				addr, m.Latency.P50Seconds, m.Latency.P99Seconds, m.Latency.MaxSeconds, m.Latency.Count)
-		}
-	}
-	return 0, nil
-}
-
 // tally accumulates the failure taxonomy over a load run. Not
-// goroutine-safe; callers hold the run's mutex.
+// goroutine-safe; callers hold the loader's mutex.
 type tally struct {
 	counts map[clientretry.Outcome]int
 	firsts map[clientretry.Outcome]string
@@ -611,96 +526,12 @@ func (t *tally) report(prefix string) string {
 	return b.String()
 }
 
-// latHist buckets client-observed latencies by endpoint and outcome
-// class. Failed requests' latencies include retry backoff sleeps and
-// timeout waits, so mixing them into the success quantiles would skew
-// them; keeping one histogram per (endpoint, class) keeps both views
-// honest. Not goroutine-safe; callers hold the run's mutex.
-type latHist struct {
-	samples map[histKey][]float64
-}
-
-type histKey struct {
-	endpoint string
-	class    clientretry.Outcome
-}
-
-func newLatHist() *latHist {
-	return &latHist{samples: map[histKey][]float64{}}
-}
-
-func (h *latHist) observe(endpoint string, class clientretry.Outcome, seconds float64) {
-	k := histKey{endpoint, class}
-	h.samples[k] = append(h.samples[k], seconds)
-}
-
-// ok returns the successful-request latencies for one endpoint (the
-// series the headline summary and cache-hit ratio are computed over).
-func (h *latHist) ok(endpoint string) []float64 {
-	return h.samples[histKey{endpoint, clientretry.OK}]
-}
-
-// histClasses fixes the report's row order: success first, then the
-// failure taxonomy in the same order tally.report uses.
-var histClasses = []clientretry.Outcome{
-	clientretry.OK, clientretry.Connect, clientretry.Timeout,
-	clientretry.Status4xx, clientretry.Status5xx, clientretry.Exhausted,
-}
-
-// report renders one quantile line per populated (endpoint, class)
-// bucket, endpoints sorted, classes in taxonomy order.
-func (h *latHist) report(prefix string) string {
-	endpoints := make(map[string]bool)
-	for k := range h.samples {
-		endpoints[k.endpoint] = true
-	}
-	sorted := make([]string, 0, len(endpoints))
-	for e := range endpoints {
-		sorted = append(sorted, e)
-	}
-	sort.Strings(sorted)
-	var b bytes.Buffer
-	for _, e := range sorted {
-		for _, class := range histClasses {
-			xs := h.samples[histKey{e, class}]
-			if len(xs) == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "%slatency[%s,%s]: n=%d p50=%.4gs p90=%.4gs p99=%.4gs max=%.4gs\n",
-				prefix, e, class, len(xs),
-				stats.Percentile(xs, 50), stats.Percentile(xs, 90),
-				stats.Percentile(xs, 99), stats.Max(xs))
-		}
-	}
-	return b.String()
-}
-
 // warmPick deterministically selects which request indices fire the
 // near-miss population at mix fraction p: index i is picked exactly when
 // the running count ⌊(i+1)·p⌋ advances, spreading picks evenly over the
 // run (Bresenham-style) with no randomness to blur repeated loads.
 func warmPick(i int, p float64) bool {
 	return int(float64(i+1)*p) > int(float64(i)*p)
-}
-
-// classClasses fixes the serving-class report order.
-var classClasses = []string{"exact-hit", "warm", "cold"}
-
-// classReport renders one quantile line per populated serving class.
-// Empty without -warm-mix (the map is never fed).
-func classReport(prefix string, classes map[string][]float64) string {
-	var b bytes.Buffer
-	for _, class := range classClasses {
-		xs := classes[class]
-		if len(xs) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%slatency[plan/%s]: n=%d p50=%.4gs p90=%.4gs p99=%.4gs max=%.4gs\n",
-			prefix, class, len(xs),
-			stats.Percentile(xs, 50), stats.Percentile(xs, 90),
-			stats.Percentile(xs, 99), stats.Max(xs))
-	}
-	return b.String()
 }
 
 // loadSpec describes the request population one load run fires.

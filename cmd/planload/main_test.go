@@ -100,56 +100,124 @@ func TestTallyReportTaxonomy(t *testing.T) {
 	}
 }
 
+// classStub is a daemon whose plan answer depends on the request seed:
+// answer(seed) gives the delay before replying, the HTTP status and the
+// cached flag. Sweep requests always get a computed (uncached) answer.
+func classStub(t *testing.T, answer func(seed int64) (time.Duration, int, bool)) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/plan":
+			var req serve.PlanRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			delay, status, cached := answer(req.Options.Seed)
+			time.Sleep(delay)
+			if status != http.StatusOK {
+				http.Error(w, "injected failure", status)
+				return
+			}
+			fmt.Fprintf(w, `{"fingerprint":"abc","cached":%t,"plan":{}}`, cached)
+		case "/v1/sweep":
+			io.WriteString(w, `{"cached":false}`)
+		default:
+			io.WriteString(w, `{}`)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// classRows runs planload with args against addr and returns the JSON
+// report's per-class latency rows.
+func classRows(t *testing.T, addr string, args ...string) *slo.Report {
+	t.Helper()
+	cfg, err := parseFlags(append([]string{"-addr", addr, "-json"}, args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code, err := run(cfg, &out); err != nil || code != 0 {
+		t.Fatalf("code %d err %v:\n%s", code, err, out.String())
+	}
+	var rep slo.Report
+	if err := json.NewDecoder(&out).Decode(&rep); err != nil {
+		t.Fatalf("output is not a JSON report: %v\n%s", err, out.String())
+	}
+	return &rep
+}
+
+// TestLatHistPerClassQuantiles: planload's per-class latency rows time
+// each class on its own, and retry-exhausted failures, whose latencies
+// span every attempt and backoff sleep, stay out of the overall
+// quantiles.
 func TestLatHistPerClassQuantiles(t *testing.T) {
-	h := newLatHist()
-	for i := 1; i <= 100; i++ {
-		h.observe("plan", clientretry.OK, float64(i)/1000) // 1ms..100ms
-	}
-	h.observe("plan", clientretry.Exhausted, 2.5) // includes backoff sleeps
-	h.observe("plan", clientretry.Exhausted, 3.5)
+	const failDelay = 100 * time.Millisecond
+	ts := classStub(t, func(seed int64) (time.Duration, int, bool) {
+		if seed == 3 {
+			return failDelay, http.StatusServiceUnavailable, false
+		}
+		return 0, http.StatusOK, false
+	})
+	rep := classRows(t, ts.URL, "-n", "12", "-c", "2", "-seeds", "3", "-retries", "1", "-backoff", "1ms")
 
-	ok := h.ok("plan")
-	if len(ok) != 100 {
-		t.Fatalf("ok series has %d samples, want 100", len(ok))
+	if len(rep.Classes) != 2 {
+		t.Fatalf("got %d class rows, want 2 (one per populated class): %+v", len(rep.Classes), rep.Classes)
 	}
-
-	got := h.report("  ")
-	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("report has %d lines, want 2 (one per populated class):\n%s", len(lines), got)
+	cold, exhausted := rep.Classes[0], rep.Classes[1]
+	if cold.Class != "plan/cold" || cold.Count != 8 || cold.Errors != 0 {
+		t.Errorf("first row should be the 8 OK cold plans: %+v", cold)
 	}
-	// OK row first, failure classes after, and the slow retry-exhausted
-	// samples stay out of the OK quantiles.
-	if !strings.HasPrefix(lines[0], "  latency[plan,ok]: n=100 ") {
-		t.Errorf("first row should be the OK class: %q", lines[0])
+	// Two attempts, each held failDelay by the daemon.
+	if exhausted.Class != "plan/retry-exhausted" || exhausted.Count != 4 || exhausted.Errors != 4 ||
+		exhausted.P50Seconds < 2*failDelay.Seconds() {
+		t.Errorf("exhausted row wrong: %+v", exhausted)
 	}
-	if !strings.Contains(lines[0], "p50=0.0505s") || !strings.Contains(lines[0], "max=0.1s") {
-		t.Errorf("OK quantiles wrong (retry latencies leaked in?): %q", lines[0])
+	if rep.Overall.Count != 12 || rep.Overall.Errors != 4 {
+		t.Errorf("overall should count every request and failure: %+v", rep.Overall)
 	}
-	if !strings.HasPrefix(lines[1], "  latency[plan,retry-exhausted]: n=2 ") ||
-		!strings.Contains(lines[1], "max=3.5s") {
-		t.Errorf("exhausted row wrong: %q", lines[1])
+	if rep.Overall.P50Seconds != cold.P50Seconds || rep.Overall.MaxSeconds != cold.MaxSeconds {
+		t.Errorf("overall quantiles %+v differ from the OK row %+v (retry latencies leaked in?)", rep.Overall, cold)
 	}
 }
 
+// TestLatHistMultipleEndpointsSorted: class rows are labelled
+// endpoint/class, sorted by name, and hold only the classes a run saw —
+// a plan run mixing cache hits, warm starts, cold plans and server
+// errors, and a sweep run against the same daemon.
 func TestLatHistMultipleEndpointsSorted(t *testing.T) {
-	h := newLatHist()
-	h.observe("plan", clientretry.OK, 0.01)
-	h.observe("compare", clientretry.OK, 0.02)
-	h.observe("compare", clientretry.Status5xx, 0.03)
-	got := h.report("")
-	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	want := []string{"latency[compare,ok]:", "latency[compare,5xx]:", "latency[plan,ok]:"}
-	if len(lines) != len(want) {
-		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), got)
-	}
-	for i, w := range want {
-		if !strings.HasPrefix(lines[i], w) {
-			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
+	ts := classStub(t, func(seed int64) (time.Duration, int, bool) {
+		switch seed {
+		case 1:
+			return 0, http.StatusOK, true
+		case 3:
+			return 0, http.StatusInternalServerError, false
 		}
+		return 0, http.StatusOK, false
+	})
+	type row struct {
+		class         string
+		count, errors int
 	}
-	if h.ok("cost") != nil {
-		t.Error("unobserved endpoint should have a nil OK series")
+	rows := func(rep *slo.Report) []row {
+		var got []row
+		for _, c := range rep.Classes {
+			got = append(got, row{c.Class, c.Count, c.Errors})
+		}
+		return got
+	}
+
+	// Odd indices fire near-miss bodies; even ones cycle seeds 1, 3, 2.
+	plan := classRows(t, ts.URL, "-n", "12", "-c", "2", "-seeds", "3", "-warm-mix", "0.5")
+	want := []row{{"plan/5xx", 2, 2}, {"plan/cold", 2, 0}, {"plan/exact-hit", 2, 0}, {"plan/warm", 6, 0}}
+	if got := rows(plan); !reflect.DeepEqual(got, want) {
+		t.Errorf("plan run class rows %+v, want %+v", got, want)
+	}
+	sweep := classRows(t, ts.URL, "-n", "4", "-c", "2", "-sweep", "2", "-seeds", "2")
+	if got, want := rows(sweep), []row{{"sweep/cold", 4, 0}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("sweep run class rows %+v, want %+v", got, want)
 	}
 }
 
@@ -367,5 +435,120 @@ func TestRunClosedLoopRoundRobinsAddrs(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "2 daemon(s)") {
 		t.Fatalf("summary missing daemon count:\n%s", out.String())
+	}
+}
+
+// seedStub is a daemon that records the seed of every plan request it
+// receives.
+func seedStub(t *testing.T) (*httptest.Server, func() []int64) {
+	t.Helper()
+	var (
+		mu    sync.Mutex
+		seeds []int64
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/plan" {
+			io.WriteString(w, `{}`)
+			return
+		}
+		var req serve.PlanRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		seeds = append(seeds, req.Options.Seed)
+		mu.Unlock()
+		fmt.Fprint(w, `{"fingerprint":"abc","cached":false,"plan":{}}`)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, func() []int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int64(nil), seeds...)
+	}
+}
+
+// TestRunOpenLoopWarmMix: -warm-mix reaches open-loop runs, which then
+// send near-miss bodies from the offset seed population.
+func TestRunOpenLoopWarmMix(t *testing.T) {
+	ts, seeds := seedStub(t)
+	cfg, err := parseFlags([]string{
+		"-addr", ts.URL, "-open-loop", "-rate", "200", "-duration", "200ms",
+		"-seeds", "4", "-warm-mix", "0.5",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code, err := run(cfg, &out); err != nil || code != 0 {
+		t.Fatalf("code %d err %v:\n%s", code, err, out.String())
+	}
+	near, base := 0, 0
+	for _, s := range seeds() {
+		if s > 10000 {
+			near++
+		} else {
+			base++
+		}
+	}
+	if near == 0 || base == 0 {
+		t.Fatalf("%d near-miss and %d base requests, want both:\n%s", near, base, out.String())
+	}
+	for _, class := range []string{"plan/warm", "plan/cold"} {
+		if !strings.Contains(out.String(), class) {
+			t.Fatalf("report missing class row %q:\n%s", class, out.String())
+		}
+	}
+}
+
+// TestRunClosedLoopGate: the closed loop honours the SLO gate.
+func TestRunClosedLoopGate(t *testing.T) {
+	ts := sloStub(t, `{"ok":true}`, time.Millisecond)
+	cfg, err := parseFlags([]string{"-addr", ts.URL, "-n", "20", "-c", "4", "-slo-p99", "1ns", "-max-errors", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	code, err := run(cfg, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 1 || !strings.Contains(out.String(), "SLO FAIL") {
+		t.Fatalf("impossible p99 target exited %d:\n%s", code, out.String())
+	}
+	for _, needle := range []string{"closed-loop: 4 clients", "overall", "plan/cold", "HTTP 200: 20", "server " + ts.URL} {
+		if !strings.Contains(out.String(), needle) {
+			t.Fatalf("report missing %q:\n%s", needle, out.String())
+		}
+	}
+}
+
+// TestRunClosedLoopJSON: -json applies to the closed loop, whose report
+// carries the worker count and request total.
+func TestRunClosedLoopJSON(t *testing.T) {
+	ts := sloStub(t, `{"ok":true}`, 0)
+	cfg, err := parseFlags([]string{"-addr", ts.URL, "-n", "12", "-c", "3", "-json", "-bench"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code, err := run(cfg, &out); err != nil || code != 0 {
+		t.Fatalf("code %d err %v:\n%s", code, err, out.String())
+	}
+	dec := json.NewDecoder(&out)
+	var rep slo.Report
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatalf("output is not a JSON report: %v\n%s", err, out.String())
+	}
+	if rep.Clients != 3 || rep.Requests != 12 || rep.Errors != 0 {
+		t.Fatalf("report clients=%d requests=%d errors=%d, want 3, 12, 0", rep.Clients, rep.Requests, rep.Errors)
+	}
+	if len(rep.Classes) != 1 || rep.Classes[0].Class != "plan/cold" || rep.Classes[0].Count != 12 {
+		t.Fatalf("classes %+v, want one plan/cold row of 12", rep.Classes)
+	}
+	rest, _ := io.ReadAll(io.MultiReader(dec.Buffered(), &out))
+	if !strings.Contains(string(rest), "BenchmarkServeSLOP99") {
+		t.Fatalf("bench lines missing after the JSON report:\n%s", rest)
 	}
 }

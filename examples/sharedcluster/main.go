@@ -1,64 +1,16 @@
-// Shared-cluster example: the §5.6 scenario at reduced scale. A mix of
-// DLRM/BERT/CANDLE/VGG jobs (40/30/20/10%) shares a cluster; TopoOpt
-// carves optically isolated partitions per job while the Fat-tree
-// baselines contend, inflating tail iteration times as load grows.
+// Shared-cluster example: the §5.6 scenario (Figure 16) at reduced
+// scale. A mix of DLRM/BERT/CANDLE/VGG jobs shares a cluster; TopoOpt
+// carves optically isolated partitions per job while the Fat-tree,
+// oversubscribed Fat-tree and ideal-switch baselines contend, inflating
+// tail iteration times as load grows.
 package main
 
 import (
 	"fmt"
-	"log"
 
-	"topoopt/internal/cluster"
-	"topoopt/internal/cost"
-	"topoopt/internal/flexnet"
-	"topoopt/internal/model"
-	"topoopt/internal/stats"
-	"topoopt/internal/topo"
+	"topoopt/internal/experiments"
 )
 
 func main() {
-	const (
-		n     = 64 // cluster servers (paper: 432)
-		spj   = 8  // servers per job (paper: 16)
-		d     = 8
-		bw    = 100e9
-		iters = 3
-	)
-	fmt.Printf("shared cluster: %d servers, %d per job, d=%d, B=%.0fG\n",
-		n, spj, d, bw/1e9)
-	fmt.Printf("%-8s %-16s %12s %12s\n", "load", "fabric", "avg iter", "p99 iter")
-	for _, load := range []float64{0.25, 0.5, 0.75, 1.0} {
-		jobs := int(load * float64(n/spj))
-		// TopoOpt: per-job partitions.
-		sched := cluster.NewScheduler(n)
-		js, err := cluster.BuildMix(sched, cluster.MixSpec{Jobs: jobs, ServersPerJob: spj})
-		if err != nil {
-			log.Fatal(err)
-		}
-		times, err := cluster.RunShardedTopoOpt(js, d, bw, iters, model.A100)
-		if err != nil {
-			log.Fatal(err)
-		}
-		flat := cluster.Flatten(times)
-		fmt.Printf("%-8s %-16s %10.4gs %10.4gs\n", fmt.Sprintf("%.0f%%", load*100),
-			"TopoOpt", stats.Mean(flat), stats.Percentile(flat, 99))
-
-		// Cost-equivalent Fat-tree: shared, contended.
-		bft := cost.EquivalentFatTreeBandwidth(n, d, bw)
-		fab := flexnet.NewSwitchFabric(topo.FatTree(n, bft))
-		sched = cluster.NewScheduler(n)
-		js, err = cluster.BuildMix(sched, cluster.MixSpec{Jobs: jobs, ServersPerJob: spj})
-		if err != nil {
-			log.Fatal(err)
-		}
-		times, err = cluster.RunShared(fab, js, iters, model.A100)
-		if err != nil {
-			log.Fatal(err)
-		}
-		flat = cluster.Flatten(times)
-		fmt.Printf("%-8s %-16s %10.4gs %10.4gs\n", "", "Fat-tree",
-			stats.Mean(flat), stats.Percentile(flat, 99))
-	}
-	fmt.Println("\nshape: TopoOpt partitions keep iteration time flat across load;")
-	fmt.Println("the shared Fat-tree's tail grows with contention (paper: up to 3.4x).")
+	fmt.Print(experiments.Fig16SharedCluster(experiments.Quick))
 }

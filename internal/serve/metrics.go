@@ -4,13 +4,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"topoopt/internal/stats"
 	"topoopt/internal/telemetry"
 )
 
-// latencyWindow bounds the ring buffer the latency quantiles are computed
-// over: large enough for stable tails, small enough that a long-lived
-// daemon's /metrics reflects recent behavior.
+// latencyWindow bounds the latency and service-time windows: large
+// enough for stable tails, small enough that a long-lived daemon's
+// /metrics reflects recent behavior.
 const latencyWindow = 1024
 
 // endpointNames is the fixed set of request counters. The per-endpoint
@@ -25,7 +24,7 @@ var endpointNames = []string{
 // metrics aggregates service counters. Hot counters — everything bumped
 // on the cache-hit fast path or per request — are plain atomics so the
 // serving path never takes a metrics lock; the mutex guards only the
-// latency and service-time ring buffers, which are touched once per
+// latency and service-time windows, which are touched once per
 // completed request or optimization.
 type metrics struct {
 	hits      atomic.Int64
@@ -58,18 +57,17 @@ type metrics struct {
 	forwardFail map[string]*atomic.Int64
 	fwdServed   atomic.Int64
 
-	mu       sync.Mutex // guards the rings below, nothing else
-	lat      []float64
-	latPos   int
-	latCount int64
-	latSum   float64 // all-time, so the Prometheus summary _sum is monotonic
-	svc      []float64
-	svcPos   int
-	svcSum   float64 // running sum of svc, so the mean is O(1)
+	mu  sync.Mutex       // guards the windows below, nothing else
+	lat telemetry.Window // end-to-end request latency
+	svc telemetry.Window // wall time of completed searches
 }
 
 func newMetrics() *metrics {
-	m := &metrics{requests: make(map[string]*atomic.Int64, len(endpointNames))}
+	m := &metrics{
+		requests: make(map[string]*atomic.Int64, len(endpointNames)),
+		lat:      telemetry.NewWindow(latencyWindow),
+		svc:      telemetry.NewWindow(latencyWindow),
+	}
 	for _, e := range endpointNames {
 		m.requests[e] = new(atomic.Int64)
 	}
@@ -147,43 +145,22 @@ func (m *metrics) addProposals(n int64) {
 // newly queued request would wait.
 func (m *metrics) observeService(seconds float64) {
 	m.mu.Lock()
-	if len(m.svc) < latencyWindow {
-		m.svc = append(m.svc, seconds)
-	} else {
-		m.svcSum -= m.svc[m.svcPos]
-		m.svc[m.svcPos] = seconds
-		m.svcPos = (m.svcPos + 1) % latencyWindow
-	}
-	m.svcSum += seconds
+	m.svc.Observe(seconds)
 	m.mu.Unlock()
 }
 
 // meanService returns the mean observed service time in seconds, or 0
 // when nothing has been observed yet (a cold service never sheds). O(1):
-// the running sum is maintained by observeService.
+// the window keeps a running sum.
 func (m *metrics) meanService() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.meanServiceLocked()
-}
-
-func (m *metrics) meanServiceLocked() float64 {
-	if len(m.svc) == 0 {
-		return 0
-	}
-	return m.svcSum / float64(len(m.svc))
+	return m.svc.Mean()
 }
 
 func (m *metrics) observeLatency(seconds float64) {
 	m.mu.Lock()
-	if len(m.lat) < latencyWindow {
-		m.lat = append(m.lat, seconds)
-	} else {
-		m.lat[m.latPos] = seconds
-		m.latPos = (m.latPos + 1) % latencyWindow
-	}
-	m.latCount++
-	m.latSum += seconds
+	m.lat.Observe(seconds)
 	m.mu.Unlock()
 }
 
@@ -283,19 +260,16 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// The mean is computed exactly once per snapshot and reused for both
-	// the JSON field and whatever renders it downstream.
-	s.MeanServiceSeconds = m.meanServiceLocked()
-	if len(m.lat) > 0 {
-		window := append([]float64(nil), m.lat...)
+	s.MeanServiceSeconds = m.svc.Mean()
+	if q := m.lat.Summary(); q.Count > 0 {
 		s.Latency = LatencySummary{
-			Count:       m.latCount,
-			SumSeconds:  m.latSum,
-			MeanSeconds: stats.Mean(window),
-			P50Seconds:  stats.Percentile(window, 50),
-			P90Seconds:  stats.Percentile(window, 90),
-			P99Seconds:  stats.Percentile(window, 99),
-			MaxSeconds:  stats.Max(window),
+			Count:       q.Count,
+			SumSeconds:  q.SumSeconds,
+			MeanSeconds: m.lat.Mean(),
+			P50Seconds:  q.P50Seconds,
+			P90Seconds:  q.P90Seconds,
+			P99Seconds:  q.P99Seconds,
+			MaxSeconds:  q.MaxSeconds,
 		}
 	}
 	return s

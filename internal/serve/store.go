@@ -186,41 +186,58 @@ func (s *Service) clearStaleJournal(kind, fp string) {
 	s.journalJobDone(kind, fp)
 }
 
-// warmFromStore replays the durable store into the service: every
-// persisted result lands in the LRU (so a restart serves it as a
-// byte-identical cache hit with zero re-search), and every journaled
+// warmFromStore replays the durable store into the service: the newest
+// persisted results land in the LRU (so a restart serves them as
+// byte-identical cache hits with zero re-search), and every journaled
 // but unfinished async job is re-submitted through the normal admission
 // path under a fresh job ID. Jobs whose results already landed complete
 // instantly from the warmed cache, which also clears their journal
 // entries. Runs during New, before the service accepts requests.
 func (s *Service) warmFromStore() {
-	var jobs []wal.Record
-	for _, r := range s.store.wal.Records() {
-		switch r.Op {
-		case wal.OpPut:
-			v, req, err := decodeStored(r.Kind, r.Payload)
-			if err != nil {
-				s.met.storeError()
-				continue
-			}
-			s.mu.Lock()
-			s.cache.add(r.Fp, v)
-			if req != nil {
-				// Restart-warm similarity: the replayed plan re-joins the
-				// index, so near-miss requests warm-start across restarts.
-				s.sim.add(r.Fp, *req)
-			}
-			s.warmed++
-			s.mu.Unlock()
-		case wal.OpJob:
-			jobs = append(jobs, r)
+	recs := s.store.wal.Records() // puts in append order, then jobs
+	// Decode puts from the newest back until the LRU is full: anything
+	// older would be evicted as soon as it was inserted. Inserting the
+	// kept ones oldest-first then leaves the cache's recency order and the
+	// similarity index exactly as replaying every put would.
+	type warmEntry struct {
+		fp  string
+		v   any
+		req *PlanRequest
+	}
+	var kept []warmEntry // newest first
+	for i := len(recs) - 1; i >= 0 && len(kept) < s.cfg.CacheEntries; i-- {
+		r := recs[i]
+		if r.Op != wal.OpPut {
+			continue
+		}
+		v, req, err := decodeStored(r.Kind, r.Payload)
+		if err != nil {
+			s.met.storeError()
+			continue
+		}
+		kept = append(kept, warmEntry{r.Fp, v, req})
+	}
+	s.mu.Lock()
+	for i := len(kept) - 1; i >= 0; i-- {
+		e := kept[i]
+		s.cache.add(e.fp, e.v)
+		if e.req != nil {
+			// Restart-warm similarity: the replayed plan re-joins the
+			// index, so near-miss requests warm-start across restarts.
+			s.sim.add(e.fp, *e.req)
 		}
 	}
+	s.warmed = len(kept)
+	s.mu.Unlock()
+
 	// Re-enqueue after warming so a journaled job whose put record
 	// survived resolves as an instant cache hit instead of a re-run.
 	// Best effort: a job the queue cannot re-admit stays journaled for
 	// the next restart.
-	for _, r := range jobs {
+	for _, r := range recs {
+		if r.Op != wal.OpJob {
+			continue
+		}
 		switch r.Kind {
 		case kindPlan:
 			var req PlanRequest

@@ -7,6 +7,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -298,5 +300,79 @@ func TestAnytimePartialMonotone(t *testing.T) {
 			t.Fatalf("job stuck in %q", j.Status)
 		case <-time.After(time.Millisecond):
 		}
+	}
+}
+
+// TestWarmBootDecodesOnlyKept: a store holding more puts than the cache
+// decodes only the newest CacheEntries that decode (an undecodable one
+// among them is skipped, one older than them is never read) and ends
+// with the same cache keys, recency order and similarity index as
+// replaying every record through the LRU.
+func TestWarmBootDecodesOnlyKept(t *testing.T) {
+	const keep = 4
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := stubPlan(t)
+	put := func(fp string, seed int64) {
+		var payload any = plan // legacy record: bare plan, no request
+		if seed > 0 {
+			req := canonical(testRequest(seed))
+			payload = storedPlan{Request: &req, Plan: plan}
+		}
+		if seed < 0 {
+			payload = "torn" // valid JSON, not a plan
+		}
+		b, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.wal.Append(wal.Record{Op: wal.OpPut, Kind: kindPlan, Fp: fp, Payload: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, seed := range []int64{1, -1, 2, 0, 4, 5, 6, -1, 0, 9} {
+		put(fmt.Sprintf("f%d", i), seed)
+	}
+
+	// Reference: every put replayed through an LRU of the same bound.
+	ref, refSim := newPlanCache(keep), newSimIndex()
+	ref.onEvict = refSim.remove
+	for _, r := range st.wal.Records() {
+		if v, req, err := decodeStored(r.Kind, r.Payload); err == nil {
+			ref.add(r.Fp, v)
+			if req != nil {
+				refSim.add(r.Fp, *req)
+			}
+		}
+	}
+
+	s := New(Config{Workers: 1, CacheEntries: keep, Store: st,
+		Optimize: func(context.Context, *topoopt.Model, topoopt.Options) (*topoopt.Plan, error) {
+			t.Error("warm boot must not search")
+			return plan, nil
+		}})
+	defer s.Close()
+	keys := func(c *planCache) []string {
+		var out []string
+		for el := c.ll.Front(); el != nil; el = el.Next() {
+			out = append(out, el.Value.(*cacheEntry).key)
+		}
+		return out
+	}
+	s.mu.Lock()
+	got, gotBuckets, gotByFp := keys(s.cache), s.sim.buckets, s.sim.byFp
+	s.mu.Unlock()
+	if want := []string{"f9", "f8", "f6", "f5"}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(keys(ref), want) {
+		t.Fatalf("cache keys newest-first %v, full replay %v, want %v", got, keys(ref), want)
+	}
+	if !reflect.DeepEqual(gotBuckets, refSim.buckets) || !reflect.DeepEqual(gotByFp, refSim.byFp) {
+		t.Fatalf("similarity index differs from full replay:\ngot  %v\nwant %v", gotByFp, refSim.byFp)
+	}
+	m := s.Metrics()
+	if m.WarmedEntries != keep || m.StoreErrors != 1 || m.SimIndexEntries != 3 {
+		t.Fatalf("warmed_entries=%d store_errors=%d sim_index_entries=%d, want %d, 1 (the tail record only), 3",
+			m.WarmedEntries, m.StoreErrors, m.SimIndexEntries, keep)
 	}
 }

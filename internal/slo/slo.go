@@ -1,10 +1,12 @@
-// Package slo is the sustained-load SLO engine behind cmd/planload's
-// open-loop mode: Poisson arrivals at a fixed offered rate with
-// fire-and-forget scheduling, time-bucketed latency quantiles over the
-// run, a pass/fail gate against a target p99, and a saturation-point
-// search that binary-searches the highest rate still meeting the gate.
+// Package slo is the load engine behind cmd/planload: it fires
+// requests either open loop, on Poisson arrivals at a fixed offered
+// rate, or closed loop, from a fixed pool of clients that each wait for
+// their reply. Either way it reports time-bucketed latency quantiles, a
+// per-class breakdown, and a pass/fail gate against a target p99; a
+// saturation-point search binary-searches the highest open-loop rate
+// still meeting the gate.
 //
-// Open-loop means the arrival schedule never waits for responses —
+// Open loop means the arrival schedule never waits for responses —
 // unlike a closed-loop worker pool, which self-throttles as the server
 // slows down and therefore flatters its tail latencies. The schedule is
 // drawn up front from a seeded exponential inter-arrival process, so a
@@ -19,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"topoopt/internal/stats"
@@ -28,34 +31,50 @@ import (
 type Result struct {
 	// Err marks the request as failed (transport error or non-2xx after
 	// retries). Failed requests count toward bucket error totals and are
-	// excluded from the latency quantiles.
+	// excluded from the time-bucket and overall latency quantiles.
 	Err bool
+	// Class labels the request for the report's per-class breakdown
+	// (e.g. "plan/warm" or "plan/5xx"); empty leaves it out.
+	Class string
 }
 
-// Config parameterizes one open-loop run.
+// Config parameterizes one run. Clients > 0 selects the closed loop;
+// otherwise the run is open loop.
 type Config struct {
-	// Rate is the offered arrival rate in requests/second. Required > 0.
+	// Rate is the open-loop arrival rate in requests/second. Required > 0
+	// in open loop.
 	Rate float64
-	// Duration is how long arrivals are offered. Required > 0. Requests
-	// fired near the end still complete and are recorded; the run ends
-	// when the last one does.
+	// Duration is how long open-loop arrivals are offered. Required > 0 in
+	// open loop. Requests fired near the end still complete and are
+	// recorded; the run ends when the last one does.
 	Duration time.Duration
+	// Clients is the closed loop's worker count: each worker fires the
+	// next request index and waits for its reply before taking another,
+	// so at most Clients requests are in flight.
+	Clients int
+	// Requests is how many requests a closed loop fires (indices
+	// 0..Requests-1, handed out in order). Required > 0 in closed loop.
+	Requests int
 	// Bucket is the latency-quantile bucketing period (default 1s,
-	// clamped to Duration).
+	// clamped to the run's duration).
 	Bucket time.Duration
 	// Seed seeds the arrival process (0 means seed 1, keeping runs
 	// deterministic by default).
 	Seed int64
-	// Fire issues request i and reports its outcome. It is called from
-	// one goroutine per arrival — fire-and-forget — and must be safe for
-	// concurrent use. Its latency is measured around the whole call.
+	// Fire issues request i and reports its outcome. It must be safe for
+	// concurrent use: open loop calls it from one goroutine per arrival
+	// (fire-and-forget), closed loop from the Clients workers. Its latency
+	// is measured around the whole call.
 	Fire func(i int) Result
 }
 
-// Bucket is one time slice of the run: requests that ARRIVED in
-// [StartSeconds, StartSeconds+width), with quantiles over their
-// completion latencies.
+// Bucket is one row of a report: the requests that ARRIVED in one time
+// slice [StartSeconds, StartSeconds+width), the whole run (Overall), or
+// one request class (Classes), with quantiles over their completion
+// latencies.
 type Bucket struct {
+	// Class names a per-class row; empty on time buckets and Overall.
+	Class        string  `json:"class,omitempty"`
 	StartSeconds float64 `json:"start_seconds"`
 	Count        int     `json:"count"`
 	Errors       int     `json:"errors"`
@@ -74,29 +93,39 @@ type Gate struct {
 	Pass             bool    `json:"pass"`
 }
 
-// Report is the machine-readable outcome of one open-loop run.
+// Report is the machine-readable outcome of one run.
 type Report struct {
-	OfferedRate     float64 `json:"offered_rate"`
+	// OfferedRate is the open-loop arrival rate (0 in closed loop).
+	OfferedRate float64 `json:"offered_rate"`
+	// DurationSeconds is the offered duration in open loop and the
+	// measured wall time in closed loop.
 	DurationSeconds float64 `json:"duration_seconds"`
 	BucketSeconds   float64 `json:"bucket_seconds"`
 	Seed            int64   `json:"seed"`
-	Requests        int     `json:"requests"`
-	Errors          int     `json:"errors"`
-	// AchievedRate is completed-OK requests over the offered duration.
+	// Clients is the closed loop's worker count (0 in open loop).
+	Clients  int `json:"clients,omitempty"`
+	Requests int `json:"requests"`
+	Errors   int `json:"errors"`
+	// AchievedRate is completed-OK requests over DurationSeconds.
 	AchievedRate float64 `json:"achieved_rate"`
 	// Overall aggregates the whole run (StartSeconds 0).
 	Overall Bucket   `json:"overall"`
 	Buckets []Bucket `json:"buckets"`
+	// Classes breaks the run down by Result.Class, sorted by name. A
+	// class row's quantiles cover its failed requests too (their latency
+	// includes retry backoff), which Overall and Buckets exclude.
+	Classes []Bucket `json:"classes,omitempty"`
 	// SLO is set by Apply when the caller gates the run.
 	SLO *Gate `json:"slo,omitempty"`
 }
 
-// sample is one completed request: its scheduled arrival offset and
-// measured latency.
+// sample is one completed request: its arrival offset (scheduled in
+// open loop, measured in closed loop), measured latency and outcome.
 type sample struct {
-	at  time.Duration
-	lat float64
-	err bool
+	at    time.Duration
+	lat   float64
+	err   bool
+	class string
 }
 
 // Schedule returns the deterministic arrival offsets for (rate,
@@ -119,19 +148,66 @@ func Schedule(rate float64, duration time.Duration, seed int64) []time.Duration 
 	}
 }
 
-// Run executes one open-loop run and aggregates it into a Report.
+// Run executes one run, open or closed loop, and aggregates it into a
+// Report.
 func Run(cfg Config) (*Report, error) {
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("slo: rate must be positive, got %g", cfg.Rate)
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("slo: duration must be positive, got %s", cfg.Duration)
-	}
-	if cfg.Fire == nil {
+	closed := cfg.Clients > 0
+	switch {
+	case cfg.Fire == nil:
 		return nil, fmt.Errorf("slo: Fire must be set")
+	case closed && cfg.Requests <= 0:
+		return nil, fmt.Errorf("slo: a closed loop needs positive Requests, got %d", cfg.Requests)
+	case !closed && cfg.Rate <= 0:
+		return nil, fmt.Errorf("slo: rate must be positive, got %g", cfg.Rate)
+	case !closed && cfg.Duration <= 0:
+		return nil, fmt.Errorf("slo: duration must be positive, got %s", cfg.Duration)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
+	}
+
+	var (
+		mu      sync.Mutex
+		samples []sample
+		wg      sync.WaitGroup
+	)
+	fire := func(i int, at time.Duration) {
+		t0 := time.Now()
+		res := cfg.Fire(i)
+		s := sample{at: at, lat: time.Since(t0).Seconds(), err: res.Err, class: res.Class}
+		mu.Lock()
+		samples = append(samples, s)
+		mu.Unlock()
+	}
+	start := time.Now()
+	if closed {
+		var next atomic.Int64
+		for w := 0; w < cfg.Clients; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < cfg.Requests; i = int(next.Add(1) - 1) {
+					fire(i, time.Since(start))
+				}
+			}()
+		}
+		wg.Wait()
+		cfg.Duration = max(time.Since(start), time.Nanosecond)
+	} else {
+		for i, off := range Schedule(cfg.Rate, cfg.Duration, cfg.Seed) {
+			// Fire-and-forget: sleep to the scheduled arrival, then launch
+			// the request on its own goroutine. The scheduler never waits for
+			// a response, so a saturated server faces the full offered rate.
+			if d := time.Until(start.Add(off)); d > 0 {
+				time.Sleep(d)
+			}
+			wg.Add(1)
+			go func(i int, off time.Duration) {
+				defer wg.Done()
+				fire(i, off)
+			}(i, off)
+		}
+		wg.Wait()
 	}
 	if cfg.Bucket <= 0 {
 		cfg.Bucket = time.Second
@@ -139,94 +215,82 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Bucket > cfg.Duration {
 		cfg.Bucket = cfg.Duration
 	}
-	offsets := Schedule(cfg.Rate, cfg.Duration, cfg.Seed)
-
-	var (
-		mu      sync.Mutex
-		samples = make([]sample, 0, len(offsets))
-		wg      sync.WaitGroup
-	)
-	start := time.Now()
-	for i, off := range offsets {
-		// Fire-and-forget: sleep to the scheduled arrival, then launch the
-		// request on its own goroutine. The scheduler never waits for a
-		// response, so a saturated server faces the full offered rate.
-		if d := time.Until(start.Add(off)); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(i int, off time.Duration) {
-			defer wg.Done()
-			t0 := time.Now()
-			res := cfg.Fire(i)
-			lat := time.Since(t0).Seconds()
-			mu.Lock()
-			samples = append(samples, sample{at: off, lat: lat, err: res.Err})
-			mu.Unlock()
-		}(i, off)
-	}
-	wg.Wait()
-
 	return aggregate(cfg, samples), nil
 }
 
+// row accumulates one report row: request and error counts plus the
+// latencies its quantiles are taken over.
+type row struct {
+	count, errs int
+	lats        []float64
+}
+
+// add counts s; its latency joins the quantiles when it succeeded or
+// when withFailed is set (class rows).
+func (r *row) add(s sample, withFailed bool) {
+	r.count++
+	if s.err {
+		r.errs++
+	}
+	if !s.err || withFailed {
+		r.lats = append(r.lats, s.lat)
+	}
+}
+
+func (r *row) bucket(class string, startS float64) Bucket {
+	b := Bucket{Class: class, StartSeconds: startS, Count: r.count, Errors: r.errs}
+	if len(r.lats) > 0 {
+		sort.Float64s(r.lats)
+		b.P50Seconds = stats.PercentileSorted(r.lats, 50)
+		b.P99Seconds = stats.PercentileSorted(r.lats, 99)
+		b.P999Seconds = stats.PercentileSorted(r.lats, 99.9)
+		b.MaxSeconds = r.lats[len(r.lats)-1]
+	}
+	return b
+}
+
 func aggregate(cfg Config, samples []sample) *Report {
+	width := cfg.Bucket.Seconds()
+	var (
+		overall row
+		times   = make([]row, int(math.Ceil(cfg.Duration.Seconds()/width)))
+		classes = map[string]*row{}
+	)
+	for _, s := range samples {
+		overall.add(s, false)
+		times[min(int(s.at.Seconds()/width), len(times)-1)].add(s, false)
+		if s.class != "" {
+			if classes[s.class] == nil {
+				classes[s.class] = &row{}
+			}
+			classes[s.class].add(s, true)
+		}
+	}
 	rep := &Report{
 		OfferedRate:     cfg.Rate,
 		DurationSeconds: cfg.Duration.Seconds(),
-		BucketSeconds:   cfg.Bucket.Seconds(),
+		BucketSeconds:   width,
 		Seed:            cfg.Seed,
-		Requests:        len(samples),
+		Clients:         cfg.Clients,
+		Requests:        overall.count,
+		Errors:          overall.errs,
+		AchievedRate:    float64(len(overall.lats)) / cfg.Duration.Seconds(),
+		Overall:         overall.bucket("", 0),
 	}
-	width := cfg.Bucket.Seconds()
-	n := int(math.Ceil(cfg.Duration.Seconds() / width))
-	byBucket := make([][]float64, n)
-	errsBy := make([]int, n)
-	countBy := make([]int, n)
-	var all []float64
-	for _, s := range samples {
-		b := int(s.at.Seconds() / width)
-		if b >= n {
-			b = n - 1
+	for b := range times {
+		if times[b].count > 0 {
+			rep.Buckets = append(rep.Buckets, times[b].bucket("", float64(b)*width))
 		}
-		countBy[b]++
-		if s.err {
-			rep.Errors++
-			errsBy[b]++
-			continue
-		}
-		byBucket[b] = append(byBucket[b], s.lat)
-		all = append(all, s.lat)
 	}
-	rep.AchievedRate = float64(len(all)) / cfg.Duration.Seconds()
-	rep.Overall = quantiles(0, countBy, errsBy, all)
-	for b := 0; b < n; b++ {
-		if countBy[b] == 0 {
-			continue
-		}
-		rep.Buckets = append(rep.Buckets,
-			quantiles(float64(b)*width, countBy[b:b+1], errsBy[b:b+1], byBucket[b]))
+	names := make([]string, 0, len(classes))
+	for name := range classes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		rep.Classes = append(rep.Classes, classes[name].bucket(name, 0))
 	}
 	return rep
-}
-
-func quantiles(startS float64, counts, errs []int, lats []float64) Bucket {
-	b := Bucket{StartSeconds: startS}
-	for _, c := range counts {
-		b.Count += c
-	}
-	for _, e := range errs {
-		b.Errors += e
-	}
-	if len(lats) > 0 {
-		sorted := append([]float64(nil), lats...)
-		sort.Float64s(sorted)
-		b.P50Seconds = stats.PercentileSorted(sorted, 50)
-		b.P99Seconds = stats.PercentileSorted(sorted, 99)
-		b.P999Seconds = stats.PercentileSorted(sorted, 99.9)
-		b.MaxSeconds = sorted[len(sorted)-1]
-	}
-	return b
 }
 
 // Apply gates the report against a target p99 and an error budget,
@@ -254,21 +318,34 @@ func (r *Report) Apply(targetP99 time.Duration, maxErrors int) bool {
 	return g.Pass
 }
 
-// String renders the human-readable bucket table.
+// String renders the human-readable table: time buckets, the overall
+// row, then one row per class.
 func (r *Report) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "open-loop: offered %.1f req/s for %.1fs (seed %d): %d requests, %d errors, achieved %.1f req/s\n",
-		r.OfferedRate, r.DurationSeconds, r.Seed, r.Requests, r.Errors, r.AchievedRate)
-	fmt.Fprintf(&sb, "  %-12s %6s %6s %10s %10s %10s %10s\n",
-		"bucket", "n", "err", "p50", "p99", "p999", "max")
-	for _, b := range r.Buckets {
-		fmt.Fprintf(&sb, "  [%5.1fs,+%gs) %6d %6d %9.1fms %9.1fms %9.1fms %9.1fms\n",
-			b.StartSeconds, r.BucketSeconds, b.Count, b.Errors,
+	if r.Clients > 0 {
+		fmt.Fprintf(&sb, "closed-loop: %d clients for %.2fs: %d requests, %d errors, achieved %.1f req/s\n",
+			r.Clients, r.DurationSeconds, r.Requests, r.Errors, r.AchievedRate)
+	} else {
+		fmt.Fprintf(&sb, "open-loop: offered %.1f req/s for %.1fs (seed %d): %d requests, %d errors, achieved %.1f req/s\n",
+			r.OfferedRate, r.DurationSeconds, r.Seed, r.Requests, r.Errors, r.AchievedRate)
+	}
+	width := 12
+	for _, c := range r.Classes {
+		width = max(width, len(c.Class))
+	}
+	line := func(label string, b Bucket) {
+		fmt.Fprintf(&sb, "  %-*s %6d %6d %9.1fms %9.1fms %9.1fms %9.1fms\n", width, label, b.Count, b.Errors,
 			b.P50Seconds*1e3, b.P99Seconds*1e3, b.P999Seconds*1e3, b.MaxSeconds*1e3)
 	}
-	o := r.Overall
-	fmt.Fprintf(&sb, "  %-12s %6d %6d %9.1fms %9.1fms %9.1fms %9.1fms\n",
-		"overall", o.Count, o.Errors, o.P50Seconds*1e3, o.P99Seconds*1e3, o.P999Seconds*1e3, o.MaxSeconds*1e3)
+	fmt.Fprintf(&sb, "  %-*s %6s %6s %10s %10s %10s %10s\n",
+		width, "bucket", "n", "err", "p50", "p99", "p999", "max")
+	for _, b := range r.Buckets {
+		line(fmt.Sprintf("[%5.1fs,+%.3gs)", b.StartSeconds, r.BucketSeconds), b)
+	}
+	line("overall", r.Overall)
+	for _, c := range r.Classes {
+		line(c.Class, c)
+	}
 	if g := r.SLO; g != nil {
 		verdict := "PASS"
 		if !g.Pass {

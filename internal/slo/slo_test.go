@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,12 +87,110 @@ func TestRunBucketsAndQuantiles(t *testing.T) {
 	}
 }
 
+// TestRunClosedLoop: a closed loop fires every index exactly once and
+// never has more than Clients requests in flight.
+func TestRunClosedLoop(t *testing.T) {
+	const clients, requests = 3, 40
+	var (
+		mu             sync.Mutex
+		seen           = map[int]int{}
+		inFlight, peak int
+	)
+	rep, err := Run(Config{
+		Clients: clients, Requests: requests, Bucket: 10 * time.Millisecond,
+		Fire: func(i int) Result {
+			mu.Lock()
+			seen[i]++
+			inFlight++
+			peak = max(peak, inFlight)
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+			return Result{Err: i == 7, Class: "c"}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != requests {
+		t.Fatalf("fired %d distinct indices, want %d", len(seen), requests)
+	}
+	for i := 0; i < requests; i++ {
+		if seen[i] != 1 {
+			t.Fatalf("index %d fired %d times", i, seen[i])
+		}
+	}
+	if peak > clients {
+		t.Fatalf("%d requests in flight, cap is %d clients", peak, clients)
+	}
+	if rep.Clients != clients || rep.Requests != requests || rep.Errors != 1 || rep.OfferedRate != 0 {
+		t.Fatalf("report clients=%d requests=%d errors=%d offered=%g", rep.Clients, rep.Requests, rep.Errors, rep.OfferedRate)
+	}
+	sum := 0
+	for _, b := range rep.Buckets {
+		sum += b.Count
+	}
+	if sum != requests || rep.DurationSeconds <= 0 || rep.AchievedRate <= 0 {
+		t.Fatalf("buckets hold %d of %d requests over %gs at %g req/s", sum, requests, rep.DurationSeconds, rep.AchievedRate)
+	}
+	if !strings.HasPrefix(rep.String(), "closed-loop: 3 clients") {
+		t.Fatalf("report text:\n%s", rep.String())
+	}
+}
+
+// TestAggregateClasses: class rows are sorted by name and count failed
+// requests, whose latencies (retry backoff included) stay out of the
+// overall and time-bucket quantiles.
+func TestAggregateClasses(t *testing.T) {
+	var samples []sample
+	for i := 1; i <= 100; i++ {
+		samples = append(samples, sample{lat: float64(i) / 1000, class: "plan/cold"}) // 1ms..100ms
+	}
+	samples = append(samples,
+		sample{lat: 2.5, err: true, class: "plan/retry-exhausted"},
+		sample{lat: 3.5, err: true, class: "plan/retry-exhausted"},
+		sample{lat: 0.02, class: "compare/cold"},
+		sample{lat: 0.03, err: true, class: "compare/5xx"},
+		sample{lat: 0.04}, // unlabelled: no class row
+	)
+	rep := aggregate(Config{Duration: time.Second, Bucket: time.Second}, samples)
+
+	var names []string
+	for _, c := range rep.Classes {
+		names = append(names, c.Class)
+	}
+	want := []string{"compare/5xx", "compare/cold", "plan/cold", "plan/retry-exhausted"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("class rows %v, want %v", names, want)
+	}
+	cold, exhausted := rep.Classes[2], rep.Classes[3]
+	if cold.Count != 100 || cold.Errors != 0 || cold.P50Seconds != 0.0505 || cold.MaxSeconds != 0.1 {
+		t.Fatalf("plan/cold row wrong: %+v", cold)
+	}
+	if exhausted.Count != 2 || exhausted.Errors != 2 || exhausted.MaxSeconds != 3.5 {
+		t.Fatalf("failed class row should count and time its failures: %+v", exhausted)
+	}
+	if rep.Requests != 105 || rep.Errors != 3 || rep.Overall.Count != 105 || rep.Overall.Errors != 3 {
+		t.Fatalf("totals: requests=%d errors=%d overall=%+v", rep.Requests, rep.Errors, rep.Overall)
+	}
+	if rep.Overall.MaxSeconds != 0.1 || rep.Buckets[0].MaxSeconds != 0.1 {
+		t.Fatalf("failed latencies leaked into overall (%g) or bucket (%g) quantiles", rep.Overall.MaxSeconds, rep.Buckets[0].MaxSeconds)
+	}
+	out := rep.String()
+	if !strings.Contains(out, "  plan/retry-exhausted      2      2") {
+		t.Fatalf("class row missing from report text:\n%s", out)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	fire := func(int) Result { return Result{} }
 	for _, cfg := range []Config{
 		{Rate: 0, Duration: time.Second, Fire: fire},
 		{Rate: 10, Duration: 0, Fire: fire},
 		{Rate: 10, Duration: time.Second},
+		{Clients: 2, Fire: fire}, // closed loop without Requests
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("config %+v should be rejected", cfg)

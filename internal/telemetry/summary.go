@@ -6,30 +6,50 @@ import (
 	"topoopt/internal/stats"
 )
 
-// window is a bounded ring of recent observations plus all-time
-// count/sum totals, so quantiles track recent behavior while _count and
-// _sum stay monotonic the way Prometheus summaries require. Callers
-// hold the registry mutex.
-type window struct {
-	buf   []float64
-	pos   int
-	count int64
-	sum   float64
+// Window is a bounded ring of recent observations plus all-time
+// count/sum totals, so quantiles and the mean track recent behavior
+// while Count and SumSeconds stay monotonic the way Prometheus summaries
+// require. Build one with NewWindow. Not safe for concurrent use:
+// callers hold their own lock.
+type Window struct {
+	buf    []float64 // len grows to cap, the window size, then wraps
+	pos    int
+	count  int64
+	sum    float64
+	winSum float64 // running sum of buf, so Mean is O(1)
 }
 
-func (w *window) observe(v float64) {
-	if len(w.buf) < stageWindow {
+// NewWindow returns a Window over the most recent size observations.
+func NewWindow(size int) Window {
+	return Window{buf: make([]float64, 0, size)}
+}
+
+// Observe records one observation, evicting the oldest once the window
+// is full.
+func (w *Window) Observe(v float64) {
+	if len(w.buf) < cap(w.buf) {
 		w.buf = append(w.buf, v)
 	} else {
+		w.winSum -= w.buf[w.pos]
 		w.buf[w.pos] = v
-		w.pos = (w.pos + 1) % stageWindow
+		w.pos = (w.pos + 1) % len(w.buf)
 	}
+	w.winSum += v
 	w.count++
 	w.sum += v
 }
 
-// StageSummary is the quantile view of one stage's window: Count and
-// SumSeconds are all-time totals; quantiles are over the recent window.
+// Mean returns the mean of the windowed observations, or 0 before the
+// first one.
+func (w *Window) Mean() float64 {
+	if len(w.buf) == 0 {
+		return 0
+	}
+	return w.winSum / float64(len(w.buf))
+}
+
+// StageSummary is the quantile view of one Window: Count and SumSeconds
+// are all-time totals; quantiles are over the recent window.
 type StageSummary struct {
 	Count      int64   `json:"count"`
 	SumSeconds float64 `json:"sum_seconds"`
@@ -39,14 +59,17 @@ type StageSummary struct {
 	MaxSeconds float64 `json:"max_seconds"`
 }
 
-func (w *window) summary() StageSummary {
+// Summary returns the all-time totals and the window's quantiles, all
+// read from one sorted copy.
+func (w *Window) Summary() StageSummary {
 	s := StageSummary{Count: w.count, SumSeconds: w.sum}
 	if len(w.buf) > 0 {
-		cp := append([]float64(nil), w.buf...)
-		s.P50Seconds = stats.Percentile(cp, 50)
-		s.P90Seconds = stats.Percentile(cp, 90)
-		s.P99Seconds = stats.Percentile(cp, 99)
-		s.MaxSeconds = stats.Max(cp)
+		sorted := append([]float64(nil), w.buf...)
+		sort.Float64s(sorted)
+		s.P50Seconds = stats.PercentileSorted(sorted, 50)
+		s.P90Seconds = stats.PercentileSorted(sorted, 90)
+		s.P99Seconds = stats.PercentileSorted(sorted, 99)
+		s.MaxSeconds = sorted[len(sorted)-1]
 	}
 	return s
 }
@@ -62,7 +85,7 @@ func (r *Registry) StageSummaries() map[string]StageSummary {
 	out := make(map[string]StageSummary)
 	for s := Stage(0); s < NumStages; s++ {
 		if r.stages[s].count > 0 {
-			out[stageNames[s]] = r.stages[s].summary()
+			out[stageNames[s]] = r.stages[s].Summary()
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -275,6 +276,28 @@ func TestStageWindowWraps(t *testing.T) {
 	}
 	if s.MaxSeconds != 1e-3 {
 		t.Fatalf("max %v: old window values leaked into quantiles", s.MaxSeconds)
+	}
+}
+
+// TestWindowMeanAndSummary: the mean and quantiles cover the last size
+// observations; Count and SumSeconds cover all of them.
+func TestWindowMeanAndSummary(t *testing.T) {
+	w := NewWindow(4)
+	if w.Mean() != 0 || w.Summary() != (StageSummary{}) {
+		t.Fatalf("empty window: mean %v summary %+v", w.Mean(), w.Summary())
+	}
+	for v := 1.0; v <= 6; v++ {
+		w.Observe(v)
+	}
+	if m := w.Mean(); m != 4.5 {
+		t.Fatalf("mean %v, want 4.5 over the window {3,4,5,6}", m)
+	}
+	want := StageSummary{Count: 6, SumSeconds: 21, P50Seconds: 4.5, P90Seconds: 5.7, P99Seconds: 5.97, MaxSeconds: 6}
+	got := w.Summary()
+	if got.Count != want.Count || got.SumSeconds != want.SumSeconds || got.MaxSeconds != want.MaxSeconds ||
+		math.Abs(got.P50Seconds-want.P50Seconds) > 1e-9 || math.Abs(got.P90Seconds-want.P90Seconds) > 1e-9 ||
+		math.Abs(got.P99Seconds-want.P99Seconds) > 1e-9 {
+		t.Fatalf("summary %+v, want %+v", got, want)
 	}
 }
 

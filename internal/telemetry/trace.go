@@ -205,7 +205,7 @@ type Registry struct {
 	ring   []record
 	pos    int
 	filled bool
-	stages [NumStages]window
+	stages [NumStages]Window
 }
 
 // DefaultRingSize is the /debug/requests capacity when NewRegistry is
@@ -222,7 +222,11 @@ func NewRegistry(ringSize int) *Registry {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	return &Registry{ring: make([]record, ringSize)}
+	r := &Registry{ring: make([]record, ringSize)}
+	for s := range r.stages {
+		r.stages[s] = NewWindow(stageWindow)
+	}
+	return r
 }
 
 // Begin starts a pooled trace for one request against endpoint. The
@@ -274,7 +278,7 @@ func (r *Registry) publish(t *Trace, fingerprint string, cached bool, status int
 	}
 	for s := Stage(0); s < NumStages; s++ {
 		if d := t.durs[s]; d > 0 {
-			r.stages[s].observe(d.Seconds())
+			r.stages[s].Observe(d.Seconds())
 		}
 	}
 	r.mu.Unlock()

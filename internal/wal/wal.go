@@ -223,14 +223,10 @@ func (s *Store) Append(r Record) error {
 	default:
 		return fmt.Errorf("wal: unknown op %q", r.Op)
 	}
-	body, err := json.Marshal(r)
+	buf, err := frame(r)
 	if err != nil {
 		return fmt.Errorf("wal: encoding record: %w", err)
 	}
-	buf := make([]byte, recHeaderLen+len(body))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
-	copy(buf[recHeaderLen:], body)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -249,12 +245,31 @@ func (s *Store) Append(r Record) error {
 	return nil
 }
 
+// frame encodes r as one log or snapshot frame: the header (body
+// length, then the body's CRC) followed by the JSON body.
+func frame(r Record) ([]byte, error) {
+	body, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, recHeaderLen+len(body))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
+	copy(buf[recHeaderLen:], body)
+	return buf, nil
+}
+
 // Records returns the live record set in replay-deterministic order:
 // puts in first-append order, then outstanding jobs in first-append
 // order. The returned slice is a fresh copy; the Payloads are shared.
 func (s *Store) Records() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.live()
+}
+
+// live is Records for callers that hold s.mu.
+func (s *Store) live() []Record {
 	out := make([]Record, 0, len(s.puts)+len(s.jobs))
 	for _, k := range s.putSeq {
 		if r, ok := s.puts[k]; ok {
@@ -299,34 +314,15 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("wal: compacting: %w", err)
 	}
-	write := func(r Record) error {
-		body, err := json.Marshal(r)
+	for _, r := range s.live() {
+		buf, err := frame(r)
+		if err == nil {
+			_, err = f.Write(buf)
+		}
 		if err != nil {
-			return err
-		}
-		buf := make([]byte, recHeaderLen+len(body))
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)))
-		binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
-		copy(buf[recHeaderLen:], body)
-		_, err = f.Write(buf)
-		return err
-	}
-	for _, k := range s.putSeq {
-		if r, ok := s.puts[k]; ok {
-			if err := write(r); err != nil {
-				f.Close()
-				os.Remove(tmp)
-				return fmt.Errorf("wal: compacting: %w", err)
-			}
-		}
-	}
-	for _, k := range s.jobSeq {
-		if r, ok := s.jobs[k]; ok {
-			if err := write(r); err != nil {
-				f.Close()
-				os.Remove(tmp)
-				return fmt.Errorf("wal: compacting: %w", err)
-			}
+			f.Close()
+			os.Remove(tmp)
+			return fmt.Errorf("wal: compacting: %w", err)
 		}
 	}
 	if err := f.Sync(); err != nil {

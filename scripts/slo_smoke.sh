@@ -3,12 +3,14 @@
 #
 # Builds topooptd + planload, starts one daemon, and offers an open-loop
 # Poisson load (arrivals never wait for responses, so a saturated server
-# faces the full offered rate). The run is gated on a p99 target and a
-# zero-error budget; a failed gate exits nonzero, which is what
-# `make slo-smoke` and the CI job key on. The -bench lines at the end
-# are the ledger-ingestible form of the same quantiles.
+# faces the full offered rate), then a closed-loop run of SLO_REQUESTS
+# requests from 4 clients that each wait for their reply, with a share
+# of near-miss requests that the daemon warm-starts. Both runs are gated
+# on a p99 target and a zero-error budget; a failed gate exits nonzero,
+# which is what `make slo-smoke` and the CI job key on. The -bench lines
+# are the ledger-ingestible form of the open-loop quantiles.
 #
-# Tunables (env): SLO_PORT, SLO_RATE, SLO_DURATION, SLO_P99.
+# Tunables (env): SLO_PORT, SLO_RATE, SLO_DURATION, SLO_REQUESTS, SLO_P99.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,5 +39,10 @@ done
   -open-loop -rate "${SLO_RATE:-150}" -duration "${SLO_DURATION:-3s}" -bucket 500ms \
   -model bert -section 6 -servers 8 -degree 2 -mcmc 5 -seeds 4 -retries 2 \
   -slo-p99 "${SLO_P99:-500ms}" -max-errors 0 -bench
+
+"$BIN/planload" -addr "http://127.0.0.1:$PORT" \
+  -n "${SLO_REQUESTS:-200}" -c 4 -bucket 500ms \
+  -model bert -section 6 -servers 8 -degree 2 -mcmc 5 -seeds 4 -warm-mix 0.25 -retries 2 \
+  -slo-p99 "${SLO_P99:-500ms}" -max-errors 0
 
 echo "slo-smoke: PASS"
