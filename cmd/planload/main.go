@@ -308,16 +308,12 @@ type loader struct {
 
 // fireRequest issues request i through the retrier, reading the full body
 // inside the retry loop. The daemon round-robins over addrs by index,
-// and the body cycles through the base population, or through the
-// near-miss one for the indices warmPick selects. The result's class is
-// endpoint/exact-hit for a cached answer, endpoint/warm or endpoint/cold
-// for a computed one, and endpoint/<outcome> for a failure.
+// and the body is pickBody's. The result's class is endpoint/exact-hit
+// for a cached answer, endpoint/warm or endpoint/cold for a computed
+// one, and endpoint/<outcome> for a failure.
 func (l *loader) fireRequest(i int) slo.Result {
 	addr := l.addrs[i%len(l.addrs)]
-	body, warm := l.bodies[i%len(l.bodies)], false
-	if len(l.warmBodies) > 0 && warmPick(i, l.warmMix) {
-		body, warm = l.warmBodies[i%len(l.warmBodies)], true
-	}
+	body, warm := l.pickBody(i)
 	resp, raw, outcome, err := l.retrier.DoRead(l.client, true, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPost, addr+l.path, bytes.NewReader(body))
 		if err != nil {
@@ -351,6 +347,25 @@ func (l *loader) fireRequest(i int) slo.Result {
 		l.cached++
 	}
 	return slo.Result{Err: outcome != clientretry.OK, Class: l.endpoint + "/" + class}
+}
+
+// pickBody returns request i's body and whether it is a near-miss. The
+// indices warmPick selects send the near-miss population, the rest the
+// base one, and each population cycles through its bodies by its own
+// count of picks so far, not by i: indexing both by i would alias with
+// the mix (at -warm-mix 0.25 and 4 seeds every near-miss pick falls on
+// i ≡ 3 mod 4), leaving bodies of both populations never sent. Both
+// counts are pure functions of (i, -warm-mix): the warm picks before i
+// number ⌊i·p⌋, the Bresenham count warmPick advances.
+func (l *loader) pickBody(i int) ([]byte, bool) {
+	if len(l.warmBodies) == 0 {
+		return l.bodies[i%len(l.bodies)], false
+	}
+	warmBefore := int(float64(i) * l.warmMix)
+	if warmPick(i, l.warmMix) {
+		return l.warmBodies[warmBefore%len(l.warmBodies)], true
+	}
+	return l.bodies[(i-warmBefore)%len(l.bodies)], false
 }
 
 func (l *loader) report(out io.Writer) {

@@ -502,6 +502,32 @@ func TestRunOpenLoopWarmMix(t *testing.T) {
 	}
 }
 
+// TestRunClosedLoopWarmMixSendsEveryBody: with a mix that shares a factor
+// with the seed count, the closed loop still sends every body of both
+// populations.
+func TestRunClosedLoopWarmMixSendsEveryBody(t *testing.T) {
+	ts, seeds := seedStub(t)
+	cfg, err := parseFlags([]string{
+		"-addr", ts.URL, "-seeds", "4", "-warm-mix", "0.25", "-n", "32", "-c", "1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code, err := run(cfg, &out); err != nil || code != 0 {
+		t.Fatalf("code %d err %v:\n%s", code, err, out.String())
+	}
+	sent := map[int64]int{}
+	for _, s := range seeds() {
+		sent[s]++
+	}
+	for _, want := range []int64{1, 2, 3, 4, 10001, 10002, 10003, 10004} {
+		if sent[want] == 0 {
+			t.Errorf("seed %d never sent; sent %v", want, sent)
+		}
+	}
+}
+
 // TestRunClosedLoopGate: the closed loop honours the SLO gate.
 func TestRunClosedLoopGate(t *testing.T) {
 	ts := sloStub(t, `{"ok":true}`, time.Millisecond)

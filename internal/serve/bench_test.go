@@ -17,17 +17,29 @@ import (
 
 // BenchmarkServeCacheHit measures the serving hot path: POST /v1/plan for
 // a fingerprint already in the cache — HTTP handling, request decode +
-// validation, cache lookup and plan (re)serialization, no optimization.
-// Recorded into BENCH_serve.json by `make serve-bench`.
+// validation, cache lookup and the write of the plan's stored bytes, no
+// optimization and no encode. Recorded into BENCH_serve.json by
+// `make serve-bench`.
 func BenchmarkServeCacheHit(b *testing.B) {
-	plan := stubPlan(b)
+	benchCacheHit(b, stubPlan(b), testRequest(1))
+}
+
+// BenchmarkServeCacheHitLarge is BenchmarkServeCacheHit at paper scale: a
+// real 128-server plan, about 800 KB per response. A hit writes stored
+// bytes, so only the transfer grows with the plan.
+func BenchmarkServeCacheHitLarge(b *testing.B) {
+	benchCacheHit(b, mustLargePlan(b), largeRequest())
+}
+
+// benchCacheHit times POST /v1/plan hits on a service that holds plan.
+func benchCacheHit(b *testing.B, plan *topoopt.Plan, req PlanRequest) {
 	s := New(Config{Workers: 2, Optimize: func(ctx context.Context, m *topoopt.Model, o topoopt.Options) (*topoopt.Plan, error) {
 		return plan, nil
 	}})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body, err := json.Marshal(testRequest(1))
+	body, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,8 +146,9 @@ func BenchmarkServeFingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkServePlanEncode measures serializing a realistic Plan — the
-// dominant per-byte cost of a cache-hit response.
+// BenchmarkServePlanEncode measures serializing a realistic Plan: the one
+// encode every computed plan pays, whose bytes then feed its WAL record,
+// its waiters and every later hit.
 func BenchmarkServePlanEncode(b *testing.B) {
 	plan := stubPlan(b)
 	b.ReportAllocs()

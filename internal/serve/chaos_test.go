@@ -552,7 +552,11 @@ func TestOverloadNeverCorruptsStore(t *testing.T) {
 		if r.Op != wal.OpPut {
 			continue
 		}
-		if _, err := decodeResult(r.Kind, r.Payload); err != nil {
+		res, _, err := decodeStored(r.Kind, r.Payload)
+		if err == nil {
+			_, err = res.value()
+		}
+		if err != nil {
 			t.Errorf("record %s/%s does not decode: %v", r.Kind, r.Fp, err)
 		}
 	}

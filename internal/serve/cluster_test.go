@@ -482,7 +482,11 @@ func TestClusterChaosPeerKilledMidLoad(t *testing.T) {
 			if rec.Op != wal.OpPut {
 				continue
 			}
-			if _, _, err := decodeStored(rec.Kind, rec.Payload); err != nil {
+			res, _, err := decodeStored(rec.Kind, rec.Payload)
+			if err == nil {
+				_, err = res.value()
+			}
+			if err != nil {
 				t.Fatalf("store %d: record %s corrupt: %v", i, rec.Fp, err)
 			}
 			puts++

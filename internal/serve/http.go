@@ -81,6 +81,51 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// resultTail closes every writeResult body.
+var resultTail = []byte("}\n")
+
+// writeResult is the one response path of the plan, compare and sweep
+// endpoints, on hits and misses alike: a 200 carrying
+// {"fingerprint":fp,"cached":cached,"<field>":<result bytes>}\n, byte for
+// byte what json.Encoder writes for PlanResponse, CompareResponse and
+// SweepResponse. The result's canonical bytes go to the socket as they
+// are, so a hit encodes nothing; a result computed without a store is
+// encoded here, once for all its waiters. The write is the request's
+// encode stage. It reports whether the 200 was written.
+func (s *Service) writeResult(w http.ResponseWriter, tr *telemetry.Trace, fp string, cached bool, field string, res *result) bool {
+	tr.Start(telemetry.StageEncode)
+	body, err := res.bytes()
+	if err != nil {
+		aerr := s.serviceError(err)
+		tr.Finish(fp, false, aerr.Status)
+		writeError(w, aerr)
+		return false
+	}
+	// Fingerprints are hex digests, so none needs escaping.
+	head := make([]byte, 0, len(`{"fingerprint":"","cached":false,"":`)+len(fp)+len(field))
+	head = append(head, `{"fingerprint":"`...)
+	head = append(head, fp...)
+	head = append(head, `","cached":`...)
+	head = strconv.AppendBool(head, cached)
+	head = append(head, `,"`...)
+	head = append(head, field...)
+	head = append(head, `":`...)
+	// The header renders before the body is written (headers must precede
+	// WriteHeader), so its encode figure is ~0; the full write time still
+	// lands in the published /debug/requests record and stage quantiles.
+	h := w.Header()
+	h.Set("X-Trace", string(tr.AppendHeader(nil)))
+	h.Set("Content-Type", "application/json")
+	// The length is known up front, so the body goes out unchunked.
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(resultTail)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(head)
+	w.Write(body)
+	w.Write(resultTail)
+	tr.Finish(fp, cached, http.StatusOK)
+	return true
+}
+
 // retrySeconds converts a wait estimate to a Retry-After value: at
 // least 1 second, rounded up, so a client that honors the header never
 // hammers a saturated server sub-second.
@@ -249,14 +294,19 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// PlanResponse is the POST /v1/plan response body.
+// PlanResponse is the POST /v1/plan response body, as writeResult writes
+// it.
 type PlanResponse struct {
 	Fingerprint string        `json:"fingerprint"`
 	Cached      bool          `json:"cached"`
 	Plan        *topoopt.Plan `json:"plan"`
 }
 
+// handlePlan serves POST /v1/plan. Every 200 it writes itself is timed
+// into the request-latency window, from handler entry to the last byte
+// written; answers a peer computed are timed by that peer.
 func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	s.met.incRequest("plan")
 	s.noteForwardedArrival(r)
 	tr := s.tel.Begin("plan")
@@ -287,22 +337,16 @@ func (s *Service) handlePlan(w http.ResponseWriter, r *http.Request) {
 		tr.Finish(fp, false, status)
 		return
 	}
-	start := time.Now()
-	plan, fp, cached, err := s.plan(ctx, req, fp, resolved(m), nil, tr)
+	res, fp, cached, err := s.plan(ctx, req, fp, resolved(m), nil, tr)
 	if err != nil {
 		aerr := s.serviceError(err)
 		tr.Finish(fp, false, aerr.Status)
 		writeError(w, aerr)
 		return
 	}
-	s.met.observeLatency(time.Since(start).Seconds())
-	tr.Start(telemetry.StageEncode)
-	// The header renders before the body is encoded (headers must precede
-	// WriteHeader), so its encode figure is ~0; the full encode time still
-	// lands in the published /debug/requests record and stage quantiles.
-	w.Header().Set("X-Trace", string(tr.AppendHeader(nil)))
-	writeJSON(w, http.StatusOK, PlanResponse{Fingerprint: fp, Cached: cached, Plan: plan})
-	tr.Finish(fp, cached, http.StatusOK)
+	if s.writeResult(w, tr, fp, cached, "plan", res) {
+		s.met.observeLatency(time.Since(start).Seconds())
+	}
 }
 
 // CompareRequest is the POST /v1/compare request body. Archs defaults to
@@ -313,7 +357,8 @@ type CompareRequest struct {
 	Archs   []string          `json:"archs,omitempty"`
 }
 
-// CompareResponse is the POST /v1/compare response body.
+// CompareResponse is the POST /v1/compare response body, as writeResult
+// writes it.
 type CompareResponse struct {
 	Fingerprint string                  `json:"fingerprint"`
 	Cached      bool                    `json:"cached"`
@@ -379,14 +424,7 @@ func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, aerr)
 		return
 	}
-	tr.Start(telemetry.StageEncode)
-	w.Header().Set("X-Trace", string(tr.AppendHeader(nil)))
-	writeJSON(w, http.StatusOK, CompareResponse{
-		Fingerprint: fp,
-		Cached:      cached,
-		Results:     res,
-	})
-	tr.Finish(fp, cached, http.StatusOK)
+	s.writeResult(w, tr, fp, cached, "results", res)
 }
 
 // CostResponse is the GET /v1/cost response body.
@@ -461,7 +499,8 @@ func (s *Service) handleSubmitFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j)
 }
 
-// SweepResponse is the synchronous POST /v1/sweep response body.
+// SweepResponse is the synchronous POST /v1/sweep response body, as
+// writeResult writes it.
 type SweepResponse struct {
 	Fingerprint string                    `json:"fingerprint"`
 	Cached      bool                      `json:"cached"`
@@ -518,17 +557,14 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Sweep latencies are not observed, like compares: a K-replica fan-out
 	// is seconds-to-minutes scale and would swamp the serving-path
 	// quantiles.
-	res, fp, cached, err := s.Sweep(ctx, req.Spec, req.Replicas, tr)
+	res, fp, cached, err := s.sweep(ctx, req.Spec, req.Replicas, tr)
 	if err != nil {
 		aerr := s.serviceError(err)
 		tr.Finish(fp, false, aerr.Status)
 		writeError(w, aerr)
 		return
 	}
-	tr.Start(telemetry.StageEncode)
-	w.Header().Set("X-Trace", string(tr.AppendHeader(nil)))
-	writeJSON(w, http.StatusOK, SweepResponse{Fingerprint: fp, Cached: cached, Sweep: res})
-	tr.Finish(fp, cached, http.StatusOK)
+	s.writeResult(w, tr, fp, cached, "sweep", res)
 }
 
 // JobList is the GET /v1/jobs response body: tracked jobs newest-first,

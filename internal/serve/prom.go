@@ -79,7 +79,7 @@ func WriteMetricsText(w io.Writer, snap MetricsSnapshot) error {
 		counter("topoopt_forwarded_served_total", "Requests served here that arrived via a peer's forward.", snap.ForwardedServed)
 	}
 
-	p.Family("topoopt_request_latency_seconds", "End-to-end plan latency: all-time count/sum, quantiles over the recent window.", "summary")
+	p.Family("topoopt_request_latency_seconds", "End-to-end plan latency, handler entry to last byte written: all-time count/sum, quantiles over the recent window.", "summary")
 	p.Summary("topoopt_request_latency_seconds", telemetry.StageSummary{
 		Count:      snap.Latency.Count,
 		SumSeconds: snap.Latency.SumSeconds,

@@ -144,16 +144,16 @@ func fingerprintOf(key any) string {
 // requests wait on. waiters counts them; when the last one abandons the
 // request, the flight's context is cancelled and the computation aborts
 // at its next cancellation check (between MCMC iterations, between fleet
-// events).
-// The result is held as `any`: the submitting path knows its concrete
-// type and casts on the way out, so one coalescing/caching machinery
-// serves every request shape.
+// events). The result carries both its typed value and its canonical
+// bytes, so one coalescing/caching machinery serves every request shape:
+// HTTP waiters write the bytes, Go callers cast the value to the type
+// they asked for.
 type flight struct {
 	fp      string
 	ctx     context.Context
 	cancel  context.CancelFunc
 	done    chan struct{}
-	res     any
+	res     *result
 	err     error
 	waiters int
 	// started flips when a worker dequeues the task; onStart callbacks
@@ -177,7 +177,7 @@ type flight struct {
 }
 
 // flightRun computes a flight's result under the flight's context.
-type flightRun func(ctx context.Context) (any, error)
+type flightRun func(ctx context.Context) (*result, error)
 
 // Service is the planning service. Create with New, serve HTTP with
 // Handler, stop with Close.
@@ -438,13 +438,27 @@ func (s *Service) awaitIdle(ctx context.Context) bool {
 // caller's wait; the underlying optimization keeps running while any other
 // request still waits on it.
 func (s *Service) Plan(ctx context.Context, req PlanRequest) (*topoopt.Plan, string, bool, error) {
-	return s.plan(ctx, req, req.Fingerprint(), func() (*topoopt.Model, error) {
+	return typed[*topoopt.Plan](s.plan(ctx, req, req.Fingerprint(), func() (*topoopt.Model, error) {
 		m, err := req.Model.Resolve()
 		if err == nil {
 			err = req.Options.Validate()
 		}
 		return m, err
-	}, nil, nil)
+	}, nil, nil))
+}
+
+// typed unwraps an execute-path answer for a Go caller: the result's
+// value as T, decoded from stored bytes on its first typed use.
+func typed[T any](res *result, fp string, hit bool, err error) (T, string, bool, error) {
+	var v any
+	if err == nil {
+		v, err = res.value()
+	}
+	if err != nil {
+		var zero T
+		return zero, fp, hit, err
+	}
+	return v.(T), fp, hit, nil
 }
 
 // resolved wraps an already-resolved model for the plan call (the HTTP
@@ -463,7 +477,7 @@ func resolved(m *topoopt.Model) func() (*topoopt.Model, error) {
 // breakdown — cache lookup, admission, queue wait and search time, the
 // latter two clipped to this waiter's own wait window so coalesced
 // joiners never claim time they did not spend waiting.
-func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve func() (*topoopt.Model, error), onStart func(), tr *telemetry.Trace) (*topoopt.Plan, string, bool, error) {
+func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve func() (*topoopt.Model, error), onStart func(), tr *telemetry.Trace) (*result, string, bool, error) {
 	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
 		m, rerr := resolve()
 		if rerr != nil {
@@ -471,10 +485,7 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve 
 		}
 		return s.planRun(m, req, fp), nil
 	}, onStart, tr)
-	if err != nil {
-		return nil, fp, hit, err
-	}
-	return res.(*topoopt.Plan), fp, hit, nil
+	return res, fp, hit, err
 }
 
 // execute is the shared cache → coalesce → admit → queue → wait sequence
@@ -483,7 +494,7 @@ func (s *Service) plan(ctx context.Context, req PlanRequest, fp string, resolve 
 // cache hits and coalesced joins are served by fingerprint alone, so
 // they never pay for request materialization (a cached fingerprint
 // implies the request was valid). The returned bool reports a cache hit.
-func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flightRun, error), onStart func(), tr *telemetry.Trace) (any, bool, error) {
+func (s *Service) execute(ctx context.Context, fp string, makeRun func() (flightRun, error), onStart func(), tr *telemetry.Trace) (*result, bool, error) {
 	tr.Start(telemetry.StageCache)
 	cached, f, err := s.joinOrCreate(fp, nil, onStart)
 	tr.End()
@@ -587,7 +598,7 @@ func overlap(a0, a1, b0, b1 time.Time) time.Duration {
 //     warm-start donor for future near-misses.
 func (s *Service) planRun(m *topoopt.Model, req PlanRequest, fp string) flightRun {
 	creq := PlanRequest{Model: req.Model.Canonical(), Options: req.Options.Canonical()}
-	return func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (*result, error) {
 		o := req.Options
 		if warm, ok := s.simNeighbor(creq, fp); ok {
 			o.WarmStart = []topoopt.Strategy{warm}
@@ -610,7 +621,7 @@ func (s *Service) planRun(m *topoopt.Model, req PlanRequest, fp string) flightRu
 			return nil, err
 		}
 		s.simAdd(fp, creq)
-		return p, nil
+		return computed(kindPlan, p), nil
 	}
 }
 
@@ -619,20 +630,22 @@ func (s *Service) planRun(m *topoopt.Model, req PlanRequest, fp string) flightRu
 // plan is still cached. Index and cache are consulted atomically under
 // the service lock; an index entry whose plan has just been evicted (or
 // was indexed from the WAL before the cache replay reached it) is simply
-// skipped — warm starts are an optimization, never a dependency.
+// skipped — warm starts are an optimization, never a dependency. A
+// neighbor warmed from the store is decoded here, outside the lock, on
+// its first use as a donor.
 func (s *Service) simNeighbor(creq PlanRequest, selfFp string) (topoopt.Strategy, bool) {
+	var res *result
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	nfp, ok := s.sim.nearest(creq, selfFp)
-	if !ok {
+	if nfp, ok := s.sim.nearest(creq, selfFp); ok {
+		res, _ = s.cache.get(nfp)
+	}
+	s.mu.Unlock()
+	if res == nil {
 		return topoopt.Strategy{}, false
 	}
-	v, ok := s.cache.get(nfp)
-	if !ok {
-		return topoopt.Strategy{}, false
-	}
+	v, err := res.value()
 	p, ok := v.(*topoopt.Plan)
-	if !ok || p == nil {
+	if err != nil || !ok || p == nil {
 		return topoopt.Strategy{}, false
 	}
 	return p.Strategy, true
@@ -679,7 +692,7 @@ func (s *Service) endPartial(fp string, ps *partialState) {
 // result always wins a race against cancellation or shutdown: during a
 // drain the flight may finish in the same instant the service closes,
 // and the waiter must report the work that was actually done.
-func (s *Service) waitFlight(ctx context.Context, f *flight) (any, error) {
+func (s *Service) waitFlight(ctx context.Context, f *flight) (*result, error) {
 	select {
 	case <-f.done:
 		return f.res, f.err
@@ -705,7 +718,7 @@ func (s *Service) waitFlight(ctx context.Context, f *flight) (any, error) {
 // sequence. With run == nil it only looks up and joins, returning
 // (nil, nil, nil) on a miss so the caller can resolve the request's
 // inputs lock-free and call again with run set.
-func (s *Service) joinOrCreate(fp string, run flightRun, onStart func()) (any, *flight, error) {
+func (s *Service) joinOrCreate(fp string, run flightRun, onStart func()) (*result, *flight, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -793,10 +806,11 @@ func (s *Service) runFlight(f *flight, run flightRun) {
 
 // finish publishes a flight's result. A success is appended to the
 // store before it is cached or any waiter is released, so no client ever
-// reads a result that a kill -9 could still lose; the append runs
-// outside the service lock, so a slow disk never stalls cache lookups.
-// Waiters book the append as their persist stage.
-func (s *Service) finish(f *flight, res any, err error) {
+// reads a result that a kill -9 could still lose; the encode and the
+// append run outside the service lock, so a slow disk never stalls cache
+// lookups. Waiters book both as their persist stage, and write the bytes
+// the append encoded.
+func (s *Service) finish(f *flight, res *result, err error) {
 	stored := err == nil && s.store != nil
 	if stored {
 		s.mu.Lock()
@@ -911,27 +925,24 @@ func CompareFingerprint(spec topoopt.ModelSpec, o topoopt.Options, archs []topoo
 // results, the request fingerprint, and whether the results came from
 // the cache.
 func (s *Service) Compare(ctx context.Context, spec topoopt.ModelSpec, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture) ([]topoopt.CompareResult, string, bool, error) {
-	return s.compare(ctx, CompareFingerprint(spec, o, archs), m, o, archs, nil)
+	return typed[[]topoopt.CompareResult](s.compare(ctx, CompareFingerprint(spec, o, archs), m, o, archs, nil))
 }
 
 // compare is the core of Compare, keyed by the already-computed
 // fingerprint fp; tr, when non-nil, receives the stage breakdown
 // exactly as in plan.
-func (s *Service) compare(ctx context.Context, fp string, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture, tr *telemetry.Trace) ([]topoopt.CompareResult, string, bool, error) {
+func (s *Service) compare(ctx context.Context, fp string, m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture, tr *telemetry.Trace) (*result, string, bool, error) {
 	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
 		return s.compareRun(m, o, archs), nil
 	}, nil, tr)
-	if err != nil {
-		return nil, fp, hit, err
-	}
-	return res.([]topoopt.CompareResult), fp, hit, nil
+	return res, fp, hit, err
 }
 
 // compareRun adapts a comparison to the generic flight runner. Its
 // per-fabric searches run the same parallel MCMC chains as plans, so
 // they draw their workers from the shared chain budget too.
 func (s *Service) compareRun(m *topoopt.Model, o topoopt.Options, archs []topoopt.Architecture) flightRun {
-	return func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (*result, error) {
 		granted := s.chains.acquire(o.Parallelism)
 		defer s.chains.release(granted)
 		o := o
@@ -940,7 +951,7 @@ func (s *Service) compareRun(m *topoopt.Model, o topoopt.Options, archs []topoop
 		if err != nil {
 			return nil, err
 		}
-		return res, nil
+		return computed(kindCompare, res), nil
 	}
 }
 
@@ -1035,7 +1046,7 @@ func (s *Service) SubmitFleet(spec topoopt.FleetSpec) (Job, error) {
 		return Job{}, err
 	}
 	sp := spec.Canonical()
-	run := func(ctx context.Context) (any, error) {
+	run := func(ctx context.Context) (*result, error) {
 		granted := s.chains.acquire(sp.Parallelism)
 		defer s.chains.release(granted)
 		sp := sp
@@ -1044,7 +1055,7 @@ func (s *Service) SubmitFleet(spec topoopt.FleetSpec) (Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		return res, nil
+		return computed(kindFleet, res), nil
 	}
 	journal, _ := json.Marshal(sp)
 	return s.submitAsync(FleetFingerprint(spec), run, kindFleet, journal)
@@ -1087,7 +1098,7 @@ func SweepFingerprint(spec topoopt.FleetSpec, replicas int) string {
 // reaches X-Trace headers and /debug/requests exactly like MCMC proposal
 // progress does for plans.
 func (s *Service) sweepRun(spec topoopt.FleetSpec, replicas int) flightRun {
-	return func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (*result, error) {
 		want := replicas
 		if spec.Parallelism > 0 && spec.Parallelism < want {
 			want = spec.Parallelism
@@ -1104,7 +1115,7 @@ func (s *Service) sweepRun(spec topoopt.FleetSpec, replicas int) flightRun {
 		if err != nil {
 			return nil, err
 		}
-		return res, nil
+		return computed(kindSweep, res), nil
 	}
 }
 
@@ -1122,15 +1133,17 @@ func (s *Service) Sweep(ctx context.Context, spec topoopt.FleetSpec, replicas in
 		return nil, "", false, fmt.Errorf("serve: sweep replicas must be in [1, %d], got %d",
 			topoopt.MaxFleetSweepReplicas, replicas)
 	}
+	return typed[*topoopt.FleetSweepResult](s.sweep(ctx, spec, replicas, tr))
+}
+
+// sweep is Sweep after validation.
+func (s *Service) sweep(ctx context.Context, spec topoopt.FleetSpec, replicas int, tr *telemetry.Trace) (*result, string, bool, error) {
 	sp := spec.Canonical()
 	fp := SweepFingerprint(sp, replicas)
 	res, hit, err := s.execute(ctx, fp, func() (flightRun, error) {
 		return s.sweepRun(sp, replicas), nil
 	}, nil, tr)
-	if err != nil {
-		return nil, fp, hit, err
-	}
-	return res.(*topoopt.FleetSweepResult), fp, hit, nil
+	return res, fp, hit, err
 }
 
 // SubmitSweep registers an async Monte Carlo sweep job: same flight
@@ -1188,13 +1201,19 @@ func (s *Service) submitAsync(fp string, run flightRun, kind string, journal []b
 	onStart := func() {
 		s.setJob(id, func(j *Job) { j.Status = JobRunning })
 	}
-	finish := func(res any, err error) {
+	// A result warmed from the store is decoded here, outside the lock:
+	// a job's Result is the typed value.
+	finish := func(res *result, err error) {
+		var v any
+		if err == nil {
+			v, err = res.value()
+		}
 		now := time.Now().UTC()
 		s.setJob(id, func(j *Job) {
 			j.FinishedAt = &now
 			switch {
 			case err == nil:
-				j.Status, j.Result = JobDone, res
+				j.Status, j.Result = JobDone, v
 			case errors.Is(err, context.Canceled):
 				j.Status, j.Error = JobCancelled, err.Error()
 			default:

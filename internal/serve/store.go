@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"topoopt"
@@ -24,12 +26,17 @@ const (
 // Store is the durable plan store: a typed adapter over internal/wal
 // that the Service uses to persist every completed result, journal
 // queued async jobs, warm its LRU on boot, and compact on clean
-// shutdown. Results are stored as their canonical JSON — plans,
-// compare results and fleet results are all byte-stable under
-// Marshal → Unmarshal → Marshal, which is what makes a restart-warm
-// cache hit byte-identical to the pre-crash response.
+// shutdown. Results are stored as their canonical JSON, and a
+// restart-warm cache hit writes those bytes verbatim, which is what makes
+// it byte-identical to the pre-crash response. Every result type is
+// byte-stable under Marshal → Unmarshal → Marshal, so a warmed result
+// decoded for a Go caller is the value that was stored.
 type Store struct {
 	wal *wal.Store
+	// stall, when set, runs before every append the Service makes. Tests
+	// block in it to hold a record off the log and observe what the
+	// Service has (not yet) published meanwhile.
+	stall func(wal.Record)
 }
 
 // OpenStore opens (creating if needed) the durable plan store in dir,
@@ -47,57 +54,80 @@ func OpenStore(dir string, opts ...wal.Option) (*Store, error) {
 // Len reports the number of persisted results.
 func (st *Store) Len() int { return st.wal.Len() }
 
-// encodeResult maps a cached result to its WAL kind and canonical JSON.
-func encodeResult(res any) (kind string, payload []byte, err error) {
-	switch v := res.(type) {
-	case *topoopt.Plan:
-		kind = kindPlan
-		payload, err = json.Marshal(v)
-	case []topoopt.CompareResult:
-		kind = kindCompare
-		payload, err = json.Marshal(v)
-	case *topoopt.FleetResult:
-		kind = kindFleet
-		payload, err = json.Marshal(v)
-	case *topoopt.FleetSweepResult:
-		kind = kindSweep
-		payload, err = json.Marshal(v)
+// append writes one record to the log.
+func (st *Store) append(r wal.Record) error {
+	if st.stall != nil {
+		st.stall(r)
+	}
+	return st.wal.Append(r)
+}
+
+// Stored plan records wrap the plan with its canonical request:
+// {"request":<request>,"plan":<plan>}, byte for byte what json.Marshal
+// writes for a struct of those two fields. The request lets a restart
+// rebuild the plan-similarity index (not just the exact-fingerprint LRU)
+// from the WAL, so near-miss requests warm-start across daemon restarts.
+// Records written before the index existed, or for a plan whose request
+// was not indexed, are the bare plan.
+var (
+	storedRequestKey = []byte(`{"request":`)
+	storedPlanKey    = []byte(`,"plan":`)
+)
+
+// wrapStoredPlan builds a stored plan record from the canonical request
+// and the plan's canonical bytes, without encoding the plan again.
+func wrapStoredPlan(creq PlanRequest, plan []byte) ([]byte, error) {
+	req, err := json.Marshal(creq)
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, len(storedRequestKey)+len(req)+len(storedPlanKey)+len(plan)+1)
+	b = append(b, storedRequestKey...)
+	b = append(b, req...)
+	b = append(b, storedPlanKey...)
+	b = append(b, plan...)
+	return append(b, '}'), nil
+}
+
+// decodeStored reverses persist for OpPut records: the cache entry,
+// holding the record's result bytes, plus, for plan records that carry
+// one, the canonical request to re-index. Only the request is decoded.
+// The plan is the wrapper's tail, located without scanning it: the WAL
+// has already validated the whole payload as JSON, so only its shape is
+// checked here, and the plan is decoded on its first typed use.
+func decodeStored(kind string, payload []byte) (*result, *PlanRequest, error) {
+	switch kind {
+	case kindPlan:
+	case kindCompare, kindFleet, kindSweep:
+		return storedBytes(kind, payload), nil, nil
 	default:
-		err = fmt.Errorf("serve: unstorable result type %T", res)
+		return nil, nil, fmt.Errorf("serve: unknown stored kind %q", kind)
 	}
-	return kind, payload, err
-}
-
-// storedPlan is the durable form of a plan record: the plan plus the
-// canonical request that produced it, so a restart rebuilds the
-// plan-similarity index (not just the exact-fingerprint LRU) from the
-// WAL and near-miss requests warm-start across daemon restarts. Request
-// is optional: records written before the index existed are bare Plan
-// JSON, and decodeStored falls back to that shape.
-type storedPlan struct {
-	Request *PlanRequest  `json:"request,omitempty"`
-	Plan    *topoopt.Plan `json:"plan"`
-}
-
-// decodeStored reverses persist for OpPut records: the cache value plus,
-// for plan records that carry one, the canonical request to re-index.
-func decodeStored(kind string, payload []byte) (any, *PlanRequest, error) {
-	if kind == kindPlan {
-		var sp storedPlan
-		// A wrapped record has a non-nil "plan" member; legacy records are
-		// the bare Plan JSON (whose fields don't collide with the wrapper,
-		// so sp.Plan stays nil) and take the fallback path below.
-		if err := json.Unmarshal(payload, &sp); err == nil && sp.Plan != nil {
-			return sp.Plan, sp.Request, nil
+	rest, wrapped := bytes.CutPrefix(payload, storedRequestKey)
+	if !wrapped {
+		if len(payload) == 0 || payload[0] != '{' {
+			return nil, nil, errors.New("serve: stored plan is not a JSON object")
 		}
+		return storedBytes(kind, payload), nil, nil
 	}
-	v, err := decodeResult(kind, payload)
-	return v, nil, err
+	dec := json.NewDecoder(bytes.NewReader(rest))
+	var req PlanRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, nil, err
+	}
+	plan, ok := bytes.CutPrefix(rest[dec.InputOffset():], storedPlanKey)
+	if ok {
+		plan, ok = bytes.CutSuffix(plan, []byte("}"))
+	}
+	if !ok {
+		return nil, nil, errors.New("serve: malformed stored plan record")
+	}
+	return storedBytes(kind, plan), &req, nil
 }
 
-// decodeResult reverses encodeResult, reconstructing exactly the types
-// the in-memory cache holds so a warmed entry is indistinguishable from
-// a freshly computed one.
+// decodeResult decodes a result's canonical bytes into exactly the type
+// a freshly computed result of that kind has, so a warmed entry is
+// indistinguishable from a computed one.
 func decodeResult(kind string, payload []byte) (any, error) {
 	switch kind {
 	case kindPlan:
@@ -129,26 +159,26 @@ func decodeResult(kind string, payload []byte) (any, error) {
 	}
 }
 
-// persist appends a completed result to the WAL. Persistence is
-// best-effort relative to serving — a failed append is counted in
-// metrics but never fails the request that computed the result.
-func (s *Service) persist(fp string, res any) {
+// persist appends a completed result to the WAL as its canonical bytes,
+// encoding the result if nothing has yet: the same bytes then answer
+// every waiter and every later hit. Persistence is best-effort relative
+// to serving — a failed append is counted in metrics but never fails the
+// request that computed the result.
+func (s *Service) persist(fp string, res *result) {
 	if s.store == nil {
 		return
 	}
-	kind, payload, err := encodeResult(res)
-	if err == nil && kind == kindPlan {
+	payload, err := res.bytes()
+	if err == nil && res.kind == kindPlan {
 		// Wrap plans with their canonical request (known for every plan the
 		// service itself computed — it was indexed on completion) so the
 		// similarity index rebuilds from the WAL on the next boot.
 		if creq, ok := s.simRequest(fp); ok {
-			if b, merr := json.Marshal(storedPlan{Request: &creq, Plan: res.(*topoopt.Plan)}); merr == nil {
-				payload = b
-			}
+			payload, err = wrapStoredPlan(creq, payload)
 		}
 	}
 	if err == nil {
-		err = s.store.wal.Append(wal.Record{Op: wal.OpPut, Kind: kind, Fp: fp, Payload: payload})
+		err = s.store.append(wal.Record{Op: wal.OpPut, Kind: res.kind, Fp: fp, Payload: payload})
 	}
 	if err != nil {
 		s.met.storeError()
@@ -162,7 +192,7 @@ func (s *Service) journalJob(kind, fp string, payload []byte) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.wal.Append(wal.Record{Op: wal.OpJob, Kind: kind, Fp: fp, Payload: payload}); err != nil {
+	if err := s.store.append(wal.Record{Op: wal.OpJob, Kind: kind, Fp: fp, Payload: payload}); err != nil {
 		s.met.storeError()
 	}
 }
@@ -171,7 +201,7 @@ func (s *Service) journalJobDone(kind, fp string) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.wal.Append(wal.Record{Op: wal.OpJobDone, Kind: kind, Fp: fp}); err != nil {
+	if err := s.store.append(wal.Record{Op: wal.OpJobDone, Kind: kind, Fp: fp}); err != nil {
 		s.met.storeError()
 	}
 }
@@ -195,13 +225,14 @@ func (s *Service) clearStaleJournal(kind, fp string) {
 // entries. Runs during New, before the service accepts requests.
 func (s *Service) warmFromStore() {
 	recs := s.store.wal.Records() // puts in append order, then jobs
-	// Decode puts from the newest back until the LRU is full: anything
-	// older would be evicted as soon as it was inserted. Inserting the
-	// kept ones oldest-first then leaves the cache's recency order and the
-	// similarity index exactly as replaying every put would.
+	// Take puts from the newest back until the LRU is full: anything older
+	// would be evicted as soon as it was inserted. Inserting the kept ones
+	// oldest-first then leaves the cache's recency order and the
+	// similarity index exactly as replaying every put would. Each entry
+	// keeps its record's bytes; nothing is decoded but plan requests.
 	type warmEntry struct {
 		fp  string
-		v   any
+		res *result
 		req *PlanRequest
 	}
 	var kept []warmEntry // newest first
@@ -210,17 +241,17 @@ func (s *Service) warmFromStore() {
 		if r.Op != wal.OpPut {
 			continue
 		}
-		v, req, err := decodeStored(r.Kind, r.Payload)
+		res, req, err := decodeStored(r.Kind, r.Payload)
 		if err != nil {
 			s.met.storeError()
 			continue
 		}
-		kept = append(kept, warmEntry{r.Fp, v, req})
+		kept = append(kept, warmEntry{r.Fp, res, req})
 	}
 	s.mu.Lock()
 	for i := len(kept) - 1; i >= 0; i-- {
 		e := kept[i]
-		s.cache.add(e.fp, e.v)
+		s.cache.add(e.fp, e.res)
 		if e.req != nil {
 			// Restart-warm similarity: the replayed plan re-joins the
 			// index, so near-miss requests warm-start across restarts.

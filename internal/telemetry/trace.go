@@ -37,11 +37,12 @@ const (
 	StageQueue
 	// StageSearch is the MCMC optimization itself (clipped likewise).
 	StageSearch
-	// StagePersist is the write-ahead-log append of a completed result,
-	// which happens before any waiter is released (clipped likewise; a
-	// daemon without a store never books it).
+	// StagePersist is the encode and write-ahead-log append of a
+	// completed result, which happen before any waiter is released
+	// (clipped likewise; a daemon without a store never books it).
 	StagePersist
-	// StageEncode is response serialization.
+	// StageEncode is the response write: the result's canonical bytes,
+	// encoded here only when no store encoded them first.
 	StageEncode
 	// NumStages bounds the enum; keep it last.
 	NumStages
