@@ -178,44 +178,6 @@ func TestFlatten(t *testing.T) {
 	}
 }
 
-func TestProvisionerLookahead(t *testing.T) {
-	p := NewProvisioner()
-	// Without pre-provisioning, flipping pays the full patch latency.
-	if d := p.Flip(); d < p.PatchLatency {
-		t.Errorf("cold flip delay %g, want >= %g", d, p.PatchLatency)
-	}
-	if err := p.StartProvisioning(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.StartProvisioning(); err == nil {
-		t.Error("double provisioning should fail")
-	}
-	p.FinishProvisioning()
-	if d := p.Flip(); d != p.FlipLatency {
-		t.Errorf("warm flip delay %g, want %g", d, p.FlipLatency)
-	}
-}
-
-func TestJobStartDelays(t *testing.T) {
-	p := NewProvisioner()
-	// Long jobs fully hide the patch latency; short ones partially.
-	withLA, without := p.JobStartDelays([]float64{3600, 30, 3600})
-	if without[1] != p.PatchLatency {
-		t.Errorf("baseline delay %g, want %g", without[1], p.PatchLatency)
-	}
-	if withLA[1] != p.FlipLatency {
-		t.Errorf("job after a long job should only pay the flip: %g", withLA[1])
-	}
-	// Job 2 follows a 30 s job: must wait the remaining 90 s of patching.
-	want := p.PatchLatency - 30 + p.FlipLatency
-	if withLA[2] != want {
-		t.Errorf("job after short job delay %g, want %g", withLA[2], want)
-	}
-	if withLA[0] <= p.PatchLatency-1 {
-		t.Error("first job cannot be hidden")
-	}
-}
-
 func TestAllocateStridedSpreadsAcrossRacks(t *testing.T) {
 	s := NewScheduler(32)
 	shard, err := s.AllocateStrided(4, 8)
@@ -235,132 +197,5 @@ func TestAllocateStridedSpreadsAcrossRacks(t *testing.T) {
 	}
 	if s.Free() != 28 {
 		t.Errorf("failed allocation should roll back: free = %d, want 28", s.Free())
-	}
-}
-
-func TestSimulateArrivalsModes(t *testing.T) {
-	arrivals := []Arrival{
-		{At: 0, Servers: 8, Duration: 3600},
-		{At: 600, Servers: 8, Duration: 3600},
-		{At: 1200, Servers: 8, Duration: 3600},
-	}
-	cold, err := SimulateArrivals(32, arrivals, PatchPanelCold, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	la, err := SimulateArrivals(32, arrivals, PatchPanelLookAhead, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ocs, err := SimulateArrivals(32, arrivals, OCS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProvisioner()
-	for i := range arrivals {
-		if cold.StartDelay[i] < p.PatchLatency {
-			t.Errorf("cold job %d delay %g below patch latency", i, cold.StartDelay[i])
-		}
-		if ocs.StartDelay[i] > 0.011 {
-			t.Errorf("OCS job %d delay %g, want ~10ms", i, ocs.StartDelay[i])
-		}
-	}
-	// With 600 s gaps > 120 s patch latency, look-ahead hides all but the
-	// first job's wiring.
-	if la.StartDelay[1] > 1 || la.StartDelay[2] > 1 {
-		t.Errorf("look-ahead delays %v should be ~flip latency after job 0", la.StartDelay)
-	}
-	if la.StartDelay[0] < p.FlipLatency {
-		t.Error("first look-ahead job still pays something")
-	}
-}
-
-func TestSimulateArrivalsQueueing(t *testing.T) {
-	// Second job must wait for the first to release servers.
-	arrivals := []Arrival{
-		{At: 0, Servers: 8, Duration: 100},
-		{At: 1, Servers: 8, Duration: 100},
-	}
-	res, err := SimulateArrivals(8, arrivals, OCS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StartDelay[1] < 99 {
-		t.Errorf("queued job delay %g, want >= 99 s", res.StartDelay[1])
-	}
-	if res.Completed != 2 {
-		t.Errorf("completed %d, want 2", res.Completed)
-	}
-}
-
-// TestSimulateArrivalsSimultaneousArrivals pins the At tie-break rule:
-// equal-At jobs are served in input order (stable by index), which under
-// look-ahead provisioning decides who gets the single pre-wired plane.
-func TestSimulateArrivalsSimultaneousArrivals(t *testing.T) {
-	p := NewProvisioner()
-	// Three simultaneous arrivals on a cluster that fits only one at a
-	// time: the queueing + lookahead interaction serializes them.
-	arrivals := []Arrival{
-		{At: 0, Servers: 8, Duration: 200},
-		{At: 0, Servers: 8, Duration: 200},
-		{At: 0, Servers: 8, Duration: 200},
-	}
-	la, err := SimulateArrivals(8, arrivals, PatchPanelLookAhead, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Job 0 (first by index): lookahead plane not yet wired at t=0, pays
-	// flip only (the plane was never consumed), starts at flip.
-	if la.StartDelay[0] != p.FlipLatency {
-		t.Errorf("job 0 delay %g, want %g", la.StartDelay[0], p.FlipLatency)
-	}
-	// Job 1 waits for job 0's servers (released at start0+200). Job 0's
-	// start kicked off wiring the next plane at start0, done at
-	// start0+flip+patch < start0+200, so job 1 pays only the flip again.
-	want1 := (p.FlipLatency + 200 + p.FlipLatency) - 0
-	if la.StartDelay[1] != want1 {
-		t.Errorf("job 1 delay %g, want %g", la.StartDelay[1], want1)
-	}
-	// Same one step later for job 2.
-	want2 := want1 + 200 + p.FlipLatency
-	if la.StartDelay[2] != want2 {
-		t.Errorf("job 2 delay %g, want %g", la.StartDelay[2], want2)
-	}
-	// The tie-break is by index: a permuted input with distinguishable
-	// durations must keep result slots aligned with sorted-stable order.
-	mixed := []Arrival{
-		{At: 0, Servers: 8, Duration: 50},
-		{At: 0, Servers: 8, Duration: 500},
-	}
-	res, err := SimulateArrivals(8, mixed, OCS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Index 0 starts first (delay 10 ms); index 1 waits out the 50 s job,
-	// not the 500 s one — proving index order, not duration order.
-	if res.StartDelay[0] != 0.010 {
-		t.Errorf("first-by-index delay %g, want 0.010", res.StartDelay[0])
-	}
-	if res.StartDelay[1] < 50 || res.StartDelay[1] > 51 {
-		t.Errorf("second-by-index delay %g, want ~50 s (waiting on the 50 s job)", res.StartDelay[1])
-	}
-	// And the whole vector is reproducible.
-	res2, err := SimulateArrivals(8, mixed, OCS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.StartDelay {
-		if res.StartDelay[i] != res2.StartDelay[i] {
-			t.Fatalf("tie-broken schedule not reproducible at job %d", i)
-		}
-	}
-}
-
-func TestSimulateArrivalsErrors(t *testing.T) {
-	if _, err := SimulateArrivals(4, []Arrival{{Servers: 8}}, OCS, nil); err == nil {
-		t.Error("oversized job should fail")
-	}
-	if _, err := SimulateArrivals(8, []Arrival{{Servers: 4}}, ProvisioningMode(9), nil); err == nil {
-		t.Error("unknown mode should fail")
 	}
 }

@@ -1,7 +1,7 @@
 // Package collective renders AllReduce operations into concrete traffic:
 // ring-AllReduce under arbitrary "+p" permutations, multi-ring load
-// balancing (the paper's NCCL TotientPerms integration, §6), double binary
-// trees (Appendix A), hierarchical ring and parameter-server collectives.
+// balancing (the paper's NCCL TotientPerms integration, §6) and double
+// binary trees (Appendix A).
 //
 // All renderings of the same group and byte count move the same per-node
 // volume — this is the mutability property (§4.3) that TopoOpt exploits:
@@ -84,23 +84,6 @@ func (t Tree) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Leaves returns the number of leaf nodes.
-func (t Tree) Leaves() int {
-	isParent := make([]bool, len(t.Parent))
-	for _, p := range t.Parent {
-		if p >= 0 {
-			isParent[p] = true
-		}
-	}
-	n := 0
-	for _, ip := range isParent {
-		if !ip {
-			n++
-		}
-	}
-	return n
 }
 
 // BalancedBinaryTree builds the in-order balanced binary tree over k nodes
@@ -192,50 +175,5 @@ func DBT(tm traffic.Matrix, members []int, pi []int, bytes int64) {
 			tm.Add(child, parent, half) // reduce
 			tm.Add(parent, child, half) // broadcast
 		}
-	}
-}
-
-// ParameterServer adds the traffic of a parameter-server synchronization:
-// every worker sends its gradients (bytes) to the server and receives the
-// updated weights back.
-func ParameterServer(tm traffic.Matrix, members []int, server int, bytes int64) {
-	for _, w := range members {
-		if w == server {
-			continue
-		}
-		tm.Add(w, server, bytes)
-		tm.Add(server, w, bytes)
-	}
-}
-
-// HierarchicalRing adds a two-level ring AllReduce: members are split into
-// contiguous sub-groups of the given size; each sub-group ring-reduces its
-// share, then sub-group leaders ring-AllReduce across groups, then leaders
-// broadcast within groups. A coarse model of the NCCL hierarchical
-// collective used inside multi-GPU servers (§5.1 uses a distributed
-// parameter server within servers; this is provided for ablations).
-func HierarchicalRing(tm traffic.Matrix, members []int, groupSize int, bytes int64) {
-	k := len(members)
-	if k < 2 || groupSize < 1 {
-		return
-	}
-	if groupSize >= k {
-		Ring(tm, members, 1, bytes)
-		return
-	}
-	var leaders []int
-	for lo := 0; lo < k; lo += groupSize {
-		hi := lo + groupSize
-		if hi > k {
-			hi = k
-		}
-		sub := members[lo:hi]
-		leaders = append(leaders, sub[0])
-		if len(sub) >= 2 {
-			Ring(tm, sub, 1, bytes)
-		}
-	}
-	if len(leaders) >= 2 {
-		Ring(tm, leaders, 1, bytes)
 	}
 }

@@ -115,7 +115,7 @@ func TestDoubleBinaryTreesComplementary(t *testing.T) {
 		}
 		// Appendix A: one half of nodes are leaves in each tree, and a
 		// node that is a leaf in t1 is internal in t2 (except boundary).
-		leaves1, leaves2 := t1.Leaves(), t2.Leaves()
+		leaves1, leaves2 := leaves(t1), leaves(t2)
 		if leaves1 != k/2 || leaves2 != k/2 {
 			t.Errorf("k=%d: leaves %d/%d, want %d", k, leaves1, leaves2, k/2)
 		}
@@ -160,35 +160,6 @@ func TestDBTPermutationMutability(t *testing.T) {
 	}
 }
 
-func TestParameterServerTraffic(t *testing.T) {
-	tm := traffic.NewMatrix(8)
-	ParameterServer(tm, members(8), 0, 100)
-	if tm[3][0] != 100 || tm[0][3] != 100 {
-		t.Error("PS traffic wrong")
-	}
-	if tm.Total() != 2*7*100 {
-		t.Errorf("PS total = %d, want %d", tm.Total(), 2*7*100)
-	}
-}
-
-func TestHierarchicalRing(t *testing.T) {
-	tm := traffic.NewMatrix(8)
-	HierarchicalRing(tm, members(8), 4, 800)
-	// Two sub-rings of 4 plus a leader ring of 2 (nodes 0 and 4).
-	if tm[0][4] == 0 || tm[4][0] == 0 {
-		t.Error("leader ring missing")
-	}
-	if tm[0][1] == 0 || tm[4][5] == 0 {
-		t.Error("sub rings missing")
-	}
-	// groupSize >= k degrades to a flat ring.
-	tm2 := traffic.NewMatrix(4)
-	HierarchicalRing(tm2, members(4), 8, 400)
-	if tm2[0][1] != traffic.RingPerNodeBytes(400, 4) {
-		t.Error("flat fallback wrong")
-	}
-}
-
 func TestTreeValidateErrors(t *testing.T) {
 	if err := (Tree{Parent: []int{-1, -1}}).Validate(); err == nil {
 		t.Error("two roots should fail")
@@ -199,4 +170,21 @@ func TestTreeValidateErrors(t *testing.T) {
 	if err := (Tree{Parent: []int{5}}).Validate(); err == nil {
 		t.Error("bad parent index should fail")
 	}
+}
+
+// leaves returns the number of leaf nodes of t.
+func leaves(t Tree) int {
+	isParent := make([]bool, len(t.Parent))
+	for _, p := range t.Parent {
+		if p >= 0 {
+			isParent[p] = true
+		}
+	}
+	n := 0
+	for _, ip := range isParent {
+		if !ip {
+			n++
+		}
+	}
+	return n
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"topoopt/internal/graph"
 	"topoopt/internal/topo"
 )
@@ -247,37 +245,6 @@ func DemandFromMatrix(tm [][]int64) [][]float64 {
 		for j, v := range row {
 			out[i][j] = float64(v)
 		}
-	}
-	return out
-}
-
-// TopPairs returns the k highest-demand ordered pairs (for tests and
-// debugging).
-func TopPairs(demand [][]float64, k int) [][2]int {
-	type pv struct {
-		p [2]int
-		v float64
-	}
-	var all []pv
-	for i := range demand {
-		for j, v := range demand[i] {
-			if i != j && v > 0 {
-				all = append(all, pv{[2]int{i, j}, v})
-			}
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].v != all[b].v {
-			return all[a].v > all[b].v
-		}
-		return all[a].p[0]*len(demand)+all[a].p[1] < all[b].p[0]*len(demand)+all[b].p[1]
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([][2]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].p
 	}
 	return out
 }

@@ -106,19 +106,6 @@ func TestDemandFromMatrix(t *testing.T) {
 	}
 }
 
-func TestTopPairs(t *testing.T) {
-	dem := uniformDemand(4, 1)
-	dem[1][3] = 50
-	dem[2][0] = 40
-	top := TopPairs(dem, 2)
-	if top[0] != [2]int{1, 3} || top[1] != [2]int{2, 0} {
-		t.Errorf("TopPairs = %v", top)
-	}
-	if got := len(TopPairs(dem, 100)); got != 12 {
-		t.Errorf("TopPairs clamp = %d, want 12", got)
-	}
-}
-
 func TestDiscountFunctions(t *testing.T) {
 	if ExponentialDiscount(1) != 0.5 || ExponentialDiscount(2) != 0.25 {
 		t.Error("exponential discount values wrong")

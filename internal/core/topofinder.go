@@ -400,15 +400,3 @@ func groupVolume(g traffic.Group) float64 {
 	}
 	return float64(k) * float64(traffic.RingPerNodeBytes(g.Bytes, k))
 }
-
-// MaxOutDegree returns the maximum server out-degree of the result's
-// topology — must be ≤ cfg.D + (0 or the MP duplex allowance).
-func (r *Result) MaxOutDegree() int {
-	max := 0
-	for v := 0; v < r.Network.Hosts; v++ {
-		if d := r.Network.G.OutDegree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}

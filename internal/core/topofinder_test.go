@@ -271,9 +271,20 @@ func TestMaxOutDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxOutDegree() > 4 {
-		t.Errorf("MaxOutDegree = %d > 4", res.MaxOutDegree())
+	if d := maxOutDegree(res); d > 4 {
+		t.Errorf("max out-degree = %d > 4", d)
 	}
+}
+
+// maxOutDegree returns the maximum server out-degree of res's topology.
+func maxOutDegree(res *Result) int {
+	max := 0
+	for v := 0; v < res.Network.Hosts; v++ {
+		if d := res.Network.G.OutDegree(v); d > max {
+			max = d
+		}
+	}
+	return max
 }
 
 func gcdInt(a, b int) int {

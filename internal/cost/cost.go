@@ -5,7 +5,6 @@
 package cost
 
 import (
-	"math"
 	"sort"
 )
 
@@ -199,12 +198,4 @@ func SiPRing(n, d int, linkBW float64) float64 {
 	t := tierFor(linkBW)
 	perIface := t.NICPort + 2*t.Transceiver + 3*t.OCSPort + FiberCostPerLink
 	return float64(n*d) * perIface
-}
-
-// Ratio returns a/b guarding against zero.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return a / b
 }

@@ -148,15 +148,6 @@ func TestCostMonotoneInScale(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(6, 3) != 2 {
-		t.Error("ratio wrong")
-	}
-	if r := Ratio(1, 0); r <= 1e300 {
-		t.Error("zero denominator should be +Inf")
-	}
-}
-
 func TestSiPMLMostExpensive(t *testing.T) {
 	// Figure 10: SiP-ML tops every scale at both configurations.
 	for _, n := range []int{128, 432, 1024, 2000} {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"topoopt/internal/stats"
 )
 
 // tiny params keep the experiment smoke tests fast.
@@ -140,6 +142,28 @@ func TestExtMoETimeVarying(t *testing.T) {
 func TestExtDynamicArrivals(t *testing.T) {
 	checkOutput(t, "ext-arrivals", ExtDynamicArrivals(tiny),
 		"look-ahead", "OCS")
+}
+
+// TestExtDynamicArrivalsLookaheadClaim checks Appendix C's claim on the
+// ext-arrivals trace at quick scale: wiring the next topology on the
+// look-ahead plane while the previous job trains hides most of the 120 s
+// patch-panel reconfiguration (the mean start delay falls by at least
+// half of it), and only an OCS, switching in milliseconds, does as well
+// or better.
+func TestExtDynamicArrivalsLookaheadClaim(t *testing.T) {
+	rows, err := dynamicArrivals(Quick.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const patchLatencyS = 120
+	cold, la, ocs := stats.Mean(rows[0].delays), stats.Mean(rows[1].delays), stats.Mean(rows[2].delays)
+	if cold-la < patchLatencyS/2 {
+		t.Errorf("look-ahead mean delay %.1fs is within %d s of the cold patch panel's %.1fs",
+			la, patchLatencyS/2, cold)
+	}
+	if ocs > la {
+		t.Errorf("OCS mean delay %.1fs above look-ahead's %.1fs", ocs, la)
+	}
 }
 
 func TestExtRoutingTE(t *testing.T) {

@@ -106,8 +106,7 @@ type Engine struct {
 	spec  Spec
 	ev    *evaluator
 	pol   Policy
-	mode  cluster.ProvisioningMode
-	prov  *cluster.Provisioner
+	mode  provMode
 	sched *cluster.Scheduler
 	arrs  []arrival
 
@@ -131,8 +130,7 @@ type Engine struct {
 	gens []int
 
 	// panelFreeAt serializes topology activation: one robot (patch
-	// panels) or one controller (OCS) wires one job at a time, exactly
-	// like cluster.SimulateArrivals' serial engine.
+	// panels) or one controller (OCS) wires one job at a time.
 	panelFreeAt      float64
 	lookaheadReadyAt float64
 
@@ -164,22 +162,40 @@ type Engine struct {
 	res Result
 }
 
-// ocsSwitchS is the OCS circuit-switch latency (~10 ms, as in
-// cluster.SimulateArrivals).
-const ocsSwitchS = 0.010
+// Topology-activation latencies (Appendix C): minutes for the robotic
+// patch panel (120 s here), ~10 ms for the look-ahead design's mechanical
+// 1×2 switch flip and for an OCS circuit switch.
+const (
+	patchLatencyS = 120
+	flipLatencyS  = 0.010
+	ocsSwitchS    = 0.010
+)
 
 // maxFailureEvents bounds the pre-generated failure schedule — a backstop
 // against a runaway rate × horizon product, far above any real scenario.
 const maxFailureEvents = 100000
 
-func provisioningMode(name string) cluster.ProvisioningMode {
+// provMode is Spec.Provisioning resolved once, in NewEngine.
+type provMode int
+
+const (
+	// provPatch rewires the patch panel at every admission.
+	provPatch provMode = iota
+	// provLookahead pre-provisions the next admission's topology on the
+	// second plane and flips the 1×2 switches to activate it.
+	provLookahead
+	// provOCS switches circuits at every admission.
+	provOCS
+)
+
+func provisioningMode(name string) provMode {
 	switch name {
 	case ProvPatch:
-		return cluster.PatchPanelCold
+		return provPatch
 	case ProvLookahead:
-		return cluster.PatchPanelLookAhead
+		return provLookahead
 	default:
-		return cluster.OCS
+		return provOCS
 	}
 }
 
@@ -224,7 +240,6 @@ func NewEngine(spec Spec) (*Engine, error) {
 		ev:         ev,
 		pol:        pol,
 		mode:       provisioningMode(spec.Provisioning),
-		prov:       cluster.NewProvisioner(),
 		sched:      cluster.NewScheduler(spec.Servers),
 		arrs:       arrs,
 		running:    make([]runningJob, len(arrs)),
@@ -528,12 +543,12 @@ func (en *Engine) startPreview(now float64) float64 {
 	}
 	var act float64
 	switch en.mode {
-	case cluster.PatchPanelCold:
-		act = en.prov.PatchLatency
-	case cluster.PatchPanelLookAhead:
-		act = en.prov.FlipLatency
+	case provPatch:
+		act = patchLatencyS
+	case provLookahead:
+		act = flipLatencyS
 		if en.lookaheadReadyAt > begin {
-			act = (en.lookaheadReadyAt - begin) + en.prov.FlipLatency
+			act = (en.lookaheadReadyAt - begin) + flipLatencyS
 		}
 	default:
 		act = ocsSwitchS
@@ -545,10 +560,10 @@ func (en *Engine) startPreview(now float64) float64 {
 // deployments re-switch circuits, patch-panel deployments re-wire the
 // active plane (the look-ahead plane is committed to the next admission).
 func (en *Engine) replanLatency() float64 {
-	if en.mode == cluster.OCS {
+	if en.mode == provOCS {
 		return ocsSwitchS
 	}
-	return en.prov.PatchLatency
+	return patchLatencyS
 }
 
 // place admits queue entry qi on the given (already reserved) servers:
@@ -560,11 +575,10 @@ func (en *Engine) place(ctx context.Context, now float64, qi int, servers []int)
 	en.utilSample(now)
 
 	start := en.startPreview(now)
-	if en.mode == cluster.PatchPanelLookAhead {
-		// Commit: start wiring the plane for the next admission (exactly
-		// cluster.SimulateArrivals' update — the plane is ready a patch
-		// latency after this job's activation completes).
-		en.lookaheadReadyAt = start + en.prov.PatchLatency
+	if en.mode == provLookahead {
+		// Commit: start wiring the plane for the next admission; it is
+		// ready a patch latency after this job's activation completes.
+		en.lookaheadReadyAt = start + patchLatencyS
 	}
 	en.panelFreeAt = start
 

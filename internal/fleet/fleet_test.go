@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	"topoopt/internal/cluster"
+	"topoopt/internal/model"
 )
 
 // runJSON executes a spec and returns the canonical result JSON.
@@ -54,62 +54,6 @@ func TestFleetSeedChangesRun(t *testing.T) {
 	b := runJSON(t, sp)
 	if bytes.Equal(a, b) {
 		t.Error("different seeds produced identical runs")
-	}
-}
-
-// fixedJobsFromArrivals converts a cluster.Arrival list to an inline
-// no-training trace.
-func fixedJobsFromArrivals(arrs []cluster.Arrival) []JobSpec {
-	out := make([]JobSpec, len(arrs))
-	for i, a := range arrs {
-		out[i] = JobSpec{AtS: a.At, Workers: a.Servers, FixedDurationS: a.Duration}
-	}
-	return out
-}
-
-// TestFleetSubsumesSimulateArrivals: with fixed-duration jobs and the
-// FIFO policy, the event engine reproduces cluster.SimulateArrivals'
-// start delays exactly, under every provisioning mode — the legacy
-// simulator is the fleet engine's degenerate no-training case.
-func TestFleetSubsumesSimulateArrivals(t *testing.T) {
-	arrivals := []cluster.Arrival{
-		{At: 0, Servers: 8, Duration: 3600},
-		{At: 0, Servers: 8, Duration: 100}, // At tie with job 0
-		{At: 600, Servers: 16, Duration: 900},
-		{At: 650, Servers: 8, Duration: 30},
-		{At: 2000, Servers: 24, Duration: 400},
-	}
-	modes := []struct {
-		name string
-		mode cluster.ProvisioningMode
-	}{
-		{ProvPatch, cluster.PatchPanelCold},
-		{ProvLookahead, cluster.PatchPanelLookAhead},
-		{ProvOCS, cluster.OCS},
-	}
-	for _, m := range modes {
-		want, err := cluster.SimulateArrivals(24, arrivals, m.mode, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(context.Background(), Spec{
-			Servers: 24, Degree: 1, LinkBandwidth: 1e9,
-			Arch: "Fat-tree", Policy: PolicyFIFO, Provisioning: m.name,
-			Trace: TraceSpec{Inline: fixedJobsFromArrivals(arrivals)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, j := range res.Jobs {
-			if j.QueueDelayS != want.StartDelay[i] {
-				t.Errorf("%s: job %d delay %g, want SimulateArrivals' %g",
-					m.name, i, j.QueueDelayS, want.StartDelay[i])
-			}
-		}
-		if res.Summary.Searches != 0 {
-			t.Errorf("%s: fixed-duration jobs ran %d strategy searches, want 0",
-				m.name, res.Summary.Searches)
-		}
 	}
 }
 
@@ -307,6 +251,8 @@ func TestFleetValidation(t *testing.T) {
 		{"max workers", func(s *Spec) { s.Trace.MaxWorkers = s.Servers + 1 }},
 		{"failure rate", func(s *Spec) { s.Failures = &FailureSpec{RatePerHour: -1, Mode: FailReplan} }},
 		{"failure mode", func(s *Spec) { s.Failures = &FailureSpec{RatePerHour: 1, Mode: "explode"} }},
+		{"gpu without mem_bandwidth", func(s *Spec) { s.GPU = model.GPU{PeakFLOPS: 1e12} }},
+		{"negative peak_flops", func(s *Spec) { s.GPU = model.GPU{PeakFLOPS: -1e12, MemBandwidth: 1e12} }},
 	}
 	for _, c := range cases {
 		sp := good

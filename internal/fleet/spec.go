@@ -2,7 +2,7 @@
 // deterministic discrete-event engine that runs an entire cluster
 // lifetime. Jobs sampled from internal/trace (or supplied inline) arrive
 // over time, are admitted by a pluggable placement policy, pay the
-// topology-provisioning latency of their cluster.ProvisioningMode, train
+// topology-provisioning latency of the cluster's provisioning mode, train
 // on per-shard fabrics built through the internal/arch registry (strategy
 // searches warm-start from prior plans of the same job family), and can
 // be hit by seeded link/port failures that either trigger a degraded
@@ -46,7 +46,7 @@ type Spec struct {
 	// Provisioning is the topology-activation model: "patch" (cold patch
 	// panel), "lookahead" (Appendix C two-plane design) or "ocs".
 	// Default "ocs". Activation is a serial resource (one robot / one OCS
-	// controller), exactly as in cluster.SimulateArrivals.
+	// controller).
 	Provisioning string `json:"provisioning,omitempty"`
 	// Seed makes the whole run deterministic: trace sampling, arrival
 	// process, failure schedule, victim selection and every strategy
@@ -65,7 +65,8 @@ type Spec struct {
 	// execution hint excluded from the wire format; the planning service
 	// sets it from its global search-thread budget.
 	SearchWorkers int `json:"-"`
-	// GPU is the accelerator model (default A100).
+	// GPU is the accelerator model (default A100, selected by a zero
+	// PeakFLOPS); an override needs positive PeakFLOPS and MemBandwidth.
 	GPU model.GPU `json:"gpu"`
 	// Trace describes the job arrivals.
 	Trace TraceSpec `json:"trace"`
@@ -109,15 +110,14 @@ type TraceSpec struct {
 	// then clamped (default 1).
 	WorkerDivisor int `json:"worker_divisor,omitempty"`
 	// Inline supplies explicit jobs instead of a synthetic trace.
-	// Equal-At jobs are admitted in slice order (stable by index), the
-	// same tie-break rule as cluster.SimulateArrivals.
+	// Equal-At jobs are admitted in slice order (stable by index).
 	Inline []JobSpec `json:"inline,omitempty"`
 }
 
 // JobSpec is one explicit job of an inline trace. Exactly one of Iters
 // (a training job evaluated on the fabric) and FixedDurationS (a
-// fixed-length reservation — the no-training degenerate case that makes
-// the engine subsume cluster.SimulateArrivals) must be set.
+// fixed-length reservation — the no-training case, which reduces the
+// engine to the Appendix C arrivals-and-provisioning model) must be set.
 type JobSpec struct {
 	AtS            float64 `json:"at_s"`
 	Family         string  `json:"family,omitempty"`
@@ -149,7 +149,7 @@ const (
 	FailRestart = "restart"
 )
 
-// Provisioning mode names (wire spellings of cluster.ProvisioningMode).
+// Provisioning mode names (the values of Spec.Provisioning).
 const (
 	ProvPatch     = "patch"
 	ProvLookahead = "lookahead"
@@ -275,6 +275,13 @@ func (sp Spec) Validate() error {
 	if sp.Parallelism < 0 || sp.Parallelism > flexnet.MaxParallelism {
 		return fmt.Errorf("fleet: Parallelism must be in [0,%d], got %d",
 			flexnet.MaxParallelism, sp.Parallelism)
+	}
+	// A zero PeakFLOPS selects the default A100 (Canonical); any other GPU
+	// must describe one.
+	if sp.GPU.PeakFLOPS != 0 {
+		if err := sp.GPU.Validate(); err != nil {
+			return fmt.Errorf("fleet: %w", err)
+		}
 	}
 	if err := sp.Trace.validate(sp.Servers); err != nil {
 		return err

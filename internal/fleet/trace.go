@@ -34,8 +34,8 @@ const diurnalAmplitude = 0.8
 // synthetic trace sampled from internal/trace's §2.2 distributions on a
 // single rng stream (family choice, then the two distribution draws, per
 // job — a fixed consumption order, so the trace is a pure function of
-// the seed). The result is sorted by arrival time, stable by index, the
-// same tie-break rule as cluster.SimulateArrivals.
+// the seed). The result is sorted by arrival time, stable by index:
+// equal-At jobs are admitted in input order.
 func buildArrivals(sp Spec) []arrival {
 	var out []arrival
 	if len(sp.Trace.Inline) > 0 {

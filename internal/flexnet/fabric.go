@@ -175,7 +175,7 @@ func (f *Fabric) InjectMatrix(sim *netsim.Sim, tm traffic.Matrix, pending *int, 
 			}
 			nodes := f.Routes.Get(s, d)
 			if nodes == nil {
-				nodes = append([]int{}, s, d) // direct attempt; ResolveNodePath will fail if absent
+				nodes = append([]int{}, s, d) // direct attempt; path resolution fails if absent
 			}
 			*pending++
 			_, err := sim.AddFlowNodesStriped(nodes, float64(bytes), maxStripes, func(float64) {

@@ -80,9 +80,6 @@ func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 // copying the whole Edge struct on hot paths (netsim path resolution).
 func (g *Graph) EdgeTo(id int) int { return g.edges[id].To }
 
-// EdgeFrom returns the tail node of the edge with the given ID.
-func (g *Graph) EdgeFrom(id int) int { return g.edges[id].From }
-
 // EdgeCap returns the capacity of the edge with the given ID.
 func (g *Graph) EdgeCap(id int) float64 { return g.edges[id].Cap }
 
@@ -158,17 +155,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Union adds every edge of other (same node count required) into g,
-// preserving capacities. Edge IDs of other are not preserved.
-func (g *Graph) Union(other *Graph) {
-	if other.n != g.n {
-		panic("graph: union of graphs with different node counts")
-	}
-	for _, e := range other.edges {
-		g.AddEdge(e.From, e.To, e.Cap)
-	}
-}
-
 func (g *Graph) checkNode(v int) {
 	if v < 0 || v >= g.n {
 		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", v, g.n))
@@ -193,9 +179,6 @@ func (p Path) Nodes(g *Graph, src int) []int {
 	}
 	return nodes
 }
-
-// Hops returns the number of edges in the path.
-func (p Path) Hops() int { return len(p) }
 
 // BFS computes unweighted hop distances from src to every node. Unreachable
 // nodes get distance -1. parentEdge[v] is the edge used to first reach v
@@ -287,42 +270,4 @@ func (g *Graph) Diameter() (int, bool) {
 		}
 	}
 	return diam, connected
-}
-
-// AvgPathLength returns the mean hop distance over all ordered reachable
-// pairs (excluding self-pairs). Returns 0 for graphs with < 2 nodes.
-func (g *Graph) AvgPathLength() float64 {
-	total, count := 0, 0
-	for v := 0; v < g.n; v++ {
-		dist, _ := g.BFS(v)
-		for u, d := range dist {
-			if u != v && d >= 0 {
-				total += d
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(total) / float64(count)
-}
-
-// PathLengthHistogram returns counts of hop distances over all ordered
-// reachable pairs: hist[h] = number of pairs at distance h.
-func (g *Graph) PathLengthHistogram() []int {
-	var hist []int
-	for v := 0; v < g.n; v++ {
-		dist, _ := g.BFS(v)
-		for u, d := range dist {
-			if u == v || d < 0 {
-				continue
-			}
-			for len(hist) <= d {
-				hist = append(hist, 0)
-			}
-			hist[d]++
-		}
-	}
-	return hist
 }

@@ -77,8 +77,8 @@ func TestShortestPathEndpoints(t *testing.T) {
 	if nodes[0] != 2 || nodes[len(nodes)-1] != 7 {
 		t.Errorf("path endpoints %d..%d, want 2..7", nodes[0], nodes[len(nodes)-1])
 	}
-	if p.Hops() != 5 {
-		t.Errorf("hops = %d, want 5", p.Hops())
+	if len(p) != 5 {
+		t.Errorf("hops = %d, want 5", len(p))
 	}
 }
 
@@ -112,52 +112,12 @@ func TestDiameterRing(t *testing.T) {
 	}
 }
 
-func TestAvgPathLengthCompleteGraph(t *testing.T) {
-	g := New(5)
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			g.AddDuplex(i, j, 1)
-		}
-	}
-	if apl := g.AvgPathLength(); apl != 1 {
-		t.Errorf("avg path length = %v, want 1", apl)
-	}
-}
-
-func TestPathLengthHistogram(t *testing.T) {
-	g := ring(6)
-	hist := g.PathLengthHistogram()
-	// 6 nodes: each node has 2 at distance 1, 2 at distance 2, 1 at distance 3.
-	want := []int{0, 12, 12, 6}
-	if len(hist) != len(want) {
-		t.Fatalf("hist = %v, want %v", hist, want)
-	}
-	for i := range want {
-		if hist[i] != want[i] {
-			t.Errorf("hist[%d] = %d, want %d", i, hist[i], want[i])
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	g := ring(4)
 	c := g.Clone()
 	c.AddEdge(0, 2, 1)
 	if g.M() == c.M() {
 		t.Error("clone shares edges with original")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a := ring(4)
-	b := New(4)
-	b.AddDuplex(0, 2, 5)
-	a.Union(b)
-	if !a.HasEdge(0, 2) || !a.HasEdge(2, 0) {
-		t.Error("union missing duplex edge")
-	}
-	if a.Edge(a.M()-1).Cap != 5 {
-		t.Error("union lost capacity")
 	}
 }
 
@@ -201,8 +161,8 @@ func TestWeightedShortestPathPrefersLightEdges(t *testing.T) {
 		return 1
 	}
 	p := g.WeightedShortestPath(0, 2, w)
-	if p.Hops() != 2 {
-		t.Errorf("expected 2-hop light path, got %d hops", p.Hops())
+	if len(p) != 2 {
+		t.Errorf("expected 2-hop light path, got %d hops", len(p))
 	}
 }
 
@@ -212,8 +172,8 @@ func TestKShortestPathsRing(t *testing.T) {
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2 (clockwise + counter-clockwise)", len(paths))
 	}
-	if paths[0].Hops() != 3 || paths[1].Hops() != 3 {
-		t.Errorf("hops = %d,%d, want 3,3", paths[0].Hops(), paths[1].Hops())
+	if len(paths[0]) != 3 || len(paths[1]) != 3 {
+		t.Errorf("hops = %d,%d, want 3,3", len(paths[0]), len(paths[1]))
 	}
 }
 
@@ -244,7 +204,7 @@ func TestKShortestPathsLoopless(t *testing.T) {
 			}
 		}
 		for i := 1; i < len(paths); i++ {
-			if paths[i].Hops() < paths[i-1].Hops() {
+			if len(paths[i]) < len(paths[i-1]) {
 				t.Fatalf("trial %d: paths out of order", trial)
 			}
 		}

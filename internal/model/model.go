@@ -95,15 +95,6 @@ func (m *Model) DenseParamBytes() int64 {
 	return t
 }
 
-// TotalFwdFLOPsPerSample sums forward FLOPs over all layers.
-func (m *Model) TotalFwdFLOPsPerSample() float64 {
-	t := 0.0
-	for _, l := range m.Layers {
-		t += l.FwdFLOPsPerSample
-	}
-	return t
-}
-
 // ShardableLayers returns the indices of shardable layers.
 func (m *Model) ShardableLayers() []int {
 	var idx []int
@@ -130,6 +121,17 @@ type GPU struct {
 // ~40% sustained utilisation, 1.555 TB/s HBM2.
 var A100 = GPU{Name: "A100", PeakFLOPS: 125e12, MemBandwidth: 1.555e12}
 
+// Validate checks that g can time a layer: LayerTime divides by both
+// roofline ceilings, so a zero one makes every iteration +Inf and a
+// negative one makes compute look free.
+func (g GPU) Validate() error {
+	if !(g.PeakFLOPS > 0) || !(g.MemBandwidth > 0) {
+		return fmt.Errorf("GPU peak_flops and mem_bandwidth must be positive, got %g and %g",
+			g.PeakFLOPS, g.MemBandwidth)
+	}
+	return nil
+}
+
 // LayerTime returns the forward+backward time in seconds for one layer at
 // the given local batch size on this GPU.
 func (g GPU) LayerTime(l Layer, batch int) float64 {
@@ -143,18 +145,6 @@ func (g GPU) LayerTime(l Layer, batch int) float64 {
 		return mt
 	}
 	return ct
-}
-
-// IterationComputeTime returns the per-iteration compute time of the whole
-// model at the given local batch, assuming all layers execute serially on
-// one GPU (pure data parallelism). Hybrid strategies are costed layer by
-// layer in the flexnet package.
-func (g GPU) IterationComputeTime(m *Model, batch int) float64 {
-	t := 0.0
-	for _, l := range m.Layers {
-		t += g.LayerTime(l, batch)
-	}
-	return t
 }
 
 const f32 = 4 // bytes per fp32 value

@@ -37,7 +37,7 @@ func TestDLRMPaperExample(t *testing.T) {
 
 func TestModelAggregates(t *testing.T) {
 	m := CANDLEPreset(Sec53)
-	if m.TotalParamBytes() <= 0 || m.TotalFwdFLOPsPerSample() <= 0 {
+	if m.TotalParamBytes() <= 0 || fwdFLOPs(m) <= 0 {
 		t.Fatal("CANDLE aggregates must be positive")
 	}
 	// CANDLE is a pure MLP: no shardable layers, dense == total.
@@ -75,7 +75,7 @@ func TestVGGParamScale(t *testing.T) {
 		t.Errorf("VGG16 params = %d B, want ~552 MB ±2x", p)
 	}
 	v19 := VGG(64, 19)
-	if v19.TotalFwdFLOPsPerSample() <= m.TotalFwdFLOPsPerSample() {
+	if fwdFLOPs(v19) <= fwdFLOPs(m) {
 		t.Error("VGG19 should cost more FLOPs than VGG16")
 	}
 }
@@ -86,7 +86,7 @@ func TestResNetScale(t *testing.T) {
 	if p < 40e6 || p > 250e6 {
 		t.Errorf("ResNet50 params = %d B, want ~102 MB fp32 ballpark", p)
 	}
-	fl := m.TotalFwdFLOPsPerSample()
+	fl := fwdFLOPs(m)
 	if fl < 2e9 || fl > 8e9 {
 		t.Errorf("ResNet50 FLOPs = %g, want ~4.1 GFLOPs", fl)
 	}
@@ -130,15 +130,6 @@ func TestGPURoofline(t *testing.T) {
 	}
 }
 
-func TestIterationComputeTimeMonotonicInBatch(t *testing.T) {
-	m := BERTPreset(Sec53)
-	t1 := A100.IterationComputeTime(m, 8)
-	t2 := A100.IterationComputeTime(m, 32)
-	if t2 <= t1 {
-		t.Errorf("compute time not monotonic: batch 8 → %g, batch 32 → %g", t1, t2)
-	}
-}
-
 func TestPresetsConstruct(t *testing.T) {
 	for _, s := range []Section{Sec53, Sec56, Sec6} {
 		for _, m := range []*Model{DLRMPreset(s), CANDLEPreset(s), BERTPreset(s),
@@ -150,9 +141,6 @@ func TestPresetsConstruct(t *testing.T) {
 				t.Errorf("%s section %d: bad batch", m.Name, s)
 			}
 		}
-	}
-	if got := len(Sec53Models()); got != 6 {
-		t.Errorf("Sec53Models = %d models, want 6", got)
 	}
 }
 
@@ -182,4 +170,13 @@ func TestLayerKindString(t *testing.T) {
 	if LayerKind(99).String() != "kind(99)" {
 		t.Error("unknown kind should format numerically")
 	}
+}
+
+// fwdFLOPs sums forward FLOPs per sample over all of m's layers.
+func fwdFLOPs(m *Model) float64 {
+	t := 0.0
+	for _, l := range m.Layers {
+		t += l.FwdFLOPsPerSample
+	}
+	return t
 }

@@ -302,15 +302,3 @@ func ResNetPreset(s Section) *Model {
 	}
 	panic("model: unknown section")
 }
-
-// Sec53Models returns the six §5.3 workloads in the paper's order.
-func Sec53Models() []*Model {
-	return []*Model{
-		CANDLEPreset(Sec53),
-		VGGPreset(Sec53),
-		BERTPreset(Sec53),
-		DLRMPreset(Sec53),
-		NCFPreset(),
-		ResNetPreset(Sec53),
-	}
-}

@@ -86,7 +86,7 @@ type Sim struct {
 
 	// linkFlows[e] is the set of active flows crossing edge e, maintained
 	// incrementally on add/remove. len(linkFlows[e]) doubles as the
-	// per-link active-flow count used by ResolveNodePath.
+	// per-link active-flow count used by resolveNodePath.
 	linkFlows [][]*Flow
 	// usedLinks lists edges with at least one active flow. Entries go
 	// stale when a link drains; reallocate compacts the list in place.
@@ -108,7 +108,7 @@ type Sim struct {
 	bytesDelivered float64
 	byteHops       float64 // Σ bytes × hops: bandwidth-tax numerator
 
-	pathBuf []int // ResolveNodePath scratch
+	pathBuf []int // resolveNodePath scratch
 }
 
 // New builds a simulator over the given graph, taking initial link
@@ -178,12 +178,6 @@ func (s *Sim) Reset(g *graph.Graph, linkLatency float64) {
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
 
-// Completed returns the number of finished flows.
-func (s *Sim) Completed() int { return s.completed }
-
-// BytesDelivered returns the total bytes delivered by finished flows.
-func (s *Sim) BytesDelivered() float64 { return s.bytesDelivered }
-
 // BandwidthTax returns Σ(bytes×hops)/Σ(bytes) across finished flows — the
 // §5.4 bandwidth-tax metric. Returns 1 when nothing has finished.
 func (s *Sim) BandwidthTax() float64 {
@@ -203,9 +197,6 @@ func (s *Sim) SetLinkCap(edgeID int, cap float64) {
 	s.linkCap[edgeID] = cap
 	s.ratesDirty = true
 }
-
-// LinkCap returns a link's current capacity.
-func (s *Sim) LinkCap(edgeID int) float64 { return s.linkCap[edgeID] }
 
 // event types
 
@@ -431,19 +422,10 @@ func (s *Sim) pathMultiplicity(nodes []int) int {
 	return min
 }
 
-// ResolveNodePath converts a node path into edge IDs, choosing for each
+// resolveNodePath converts a node path into edge IDs, choosing for each
 // hop the parallel link with the fewest active flows (cheap load
-// balancing across TotientPerms parallel rings).
-func (s *Sim) ResolveNodePath(nodes []int) ([]int, error) {
-	path, err := s.resolveNodePath(nodes)
-	if err != nil {
-		return nil, err
-	}
-	return append([]int(nil), path...), nil
-}
-
-// resolveNodePath is ResolveNodePath into a reused scratch buffer; the
-// result is valid until the next resolve.
+// balancing across TotientPerms parallel rings). The result lives in a
+// reused scratch buffer and is valid until the next resolve.
 func (s *Sim) resolveNodePath(nodes []int) ([]int, error) {
 	path := s.pathBuf[:0]
 	for i := 0; i+1 < len(nodes); i++ {
@@ -650,20 +632,6 @@ func (s *Sim) dispatch(e event) {
 	}
 }
 
-// Step executes the next pending event. Returns false when no events
-// remain.
-func (s *Sim) Step() bool {
-	s.flushRates()
-	if len(s.events) == 0 {
-		return false
-	}
-	e := s.popEvent()
-	s.advanceFlows(e.at - s.now)
-	s.now = e.at
-	s.dispatch(e)
-	return true
-}
-
 // Run executes events until the queue is empty or the time limit is
 // passed (limit <= 0 means no limit). Returns the final time.
 func (s *Sim) Run(limit float64) float64 {
@@ -687,6 +655,3 @@ func (s *Sim) Run(limit float64) float64 {
 
 // ActiveFlows returns the number of in-flight flows.
 func (s *Sim) ActiveFlows() int { return len(s.active) }
-
-// Idle reports whether no flows are active and no events are pending.
-func (s *Sim) Idle() bool { return len(s.active) == 0 && len(s.events) == 0 }

@@ -26,8 +26,8 @@ func TestSingleFlowCompletionTime(t *testing.T) {
 	if math.Abs(doneAt-want) > 1e-9 {
 		t.Errorf("completion at %g, want %g", doneAt, want)
 	}
-	if s.Completed() != 1 || s.BytesDelivered() != 125e6 {
-		t.Errorf("stats wrong: %d flows, %g bytes", s.Completed(), s.BytesDelivered())
+	if s.completed != 1 || s.bytesDelivered != 125e6 {
+		t.Errorf("stats wrong: %d flows, %g bytes", s.completed, s.bytesDelivered)
 	}
 }
 
@@ -234,23 +234,8 @@ func TestManyFlowsConservation(t *testing.T) {
 	if s.ActiveFlows() != 0 {
 		t.Fatalf("%d flows stuck", s.ActiveFlows())
 	}
-	if math.Abs(s.BytesDelivered()-injected) > 1 {
-		t.Errorf("delivered %g, injected %g", s.BytesDelivered(), injected)
-	}
-}
-
-func TestIdle(t *testing.T) {
-	s := New(graph.New(1), 0)
-	if !s.Idle() {
-		t.Error("new sim should be idle")
-	}
-	s.Schedule(1, func() {})
-	if s.Idle() {
-		t.Error("pending event should not be idle")
-	}
-	s.Run(0)
-	if !s.Idle() {
-		t.Error("drained sim should be idle")
+	if math.Abs(s.bytesDelivered-injected) > 1 {
+		t.Errorf("delivered %g, injected %g", s.bytesDelivered, injected)
 	}
 }
 
@@ -267,7 +252,7 @@ func TestDeterminism(t *testing.T) {
 			s.AddFlowNodes(p, float64(1e5*(i%7+1)), nil)
 		}
 		end := s.Run(0)
-		return end, s.Completed()
+		return end, s.completed
 	}
 	e1, c1 := run()
 	e2, c2 := run()

@@ -55,20 +55,6 @@ func All() []Device {
 	return []Device{PatchPanel, MEMS3D, MEMS2D, SiliconPhotonics, TunableLaser, RotorNet}
 }
 
-// Fits reports whether n servers fit on one device plane: the §3 design
-// uses one device per server interface, each connecting all n servers, so
-// the constraint is per-plane port count regardless of degree.
-func (d Device) Fits(n int) bool { return n <= d.PortCount }
-
-// PlanesNeeded returns how many devices a cluster of degree deg requires:
-// d planes, doubled by the look-ahead design of Appendix C.
-func (d Device) PlanesNeeded(deg int, lookAhead bool) int {
-	if lookAhead {
-		return 2 * deg
-	}
-	return deg
-}
-
 // String implements fmt.Stringer.
 func (d Device) String() string {
 	cost := "n/a"
@@ -85,6 +71,3 @@ type OneByTwoSwitch struct{}
 
 // Cost returns the per-unit cost in USD.
 func (OneByTwoSwitch) Cost() float64 { return 25 }
-
-// LossDB returns the measured insertion loss.
-func (OneByTwoSwitch) LossDB() float64 { return 0.73 }

@@ -35,24 +35,6 @@ func TestTable1Contents(t *testing.T) {
 	}
 }
 
-func TestFits(t *testing.T) {
-	if !PatchPanel.Fits(1008) || PatchPanel.Fits(1009) {
-		t.Error("patch panel port bound wrong")
-	}
-	if !MEMS3D.Fits(384) || MEMS3D.Fits(385) {
-		t.Error("3D MEMS port bound wrong")
-	}
-}
-
-func TestPlanesNeeded(t *testing.T) {
-	if PatchPanel.PlanesNeeded(4, true) != 8 {
-		t.Error("look-ahead doubles planes")
-	}
-	if MEMS3D.PlanesNeeded(4, false) != 4 {
-		t.Error("plain planes = degree")
-	}
-}
-
 func TestString(t *testing.T) {
 	s := PatchPanel.String()
 	if !strings.Contains(s, "1008") || !strings.Contains(s, "$100/port") {
@@ -65,7 +47,7 @@ func TestString(t *testing.T) {
 
 func TestOneByTwoSwitch(t *testing.T) {
 	var sw OneByTwoSwitch
-	if sw.Cost() != 25 || sw.LossDB() != 0.73 {
-		t.Error("1x2 switch constants wrong")
+	if sw.Cost() != 25 {
+		t.Errorf("1x2 switch cost $%g, want $25", sw.Cost())
 	}
 }

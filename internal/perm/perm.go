@@ -168,39 +168,3 @@ func Ring(members []int, p int) []RingEdge {
 	}
 	return edges
 }
-
-// RingOrder returns the visiting order of the ring with rule p starting at
-// members[0]: members[0], members[p], members[2p], ... Useful for building
-// ring-AllReduce schedules.
-func RingOrder(members []int, p int) []int {
-	k := len(members)
-	if k == 0 {
-		return nil
-	}
-	if GCD(p, k) != 1 {
-		panic(fmt.Sprintf("perm: p=%d not coprime with group size %d", p, k))
-	}
-	order := make([]int, 0, k)
-	for i, at := 0, 0; i < k; i++ {
-		order = append(order, members[at])
-		at = (at + p) % k
-	}
-	return order
-}
-
-// IsSingleRing reports whether the directed edges i -> (i+p) mod k form one
-// cycle covering all k nodes. Equivalent to gcd(p,k)==1; used in tests as
-// the independent check.
-func IsSingleRing(k, p int) bool {
-	if k < 2 {
-		return false
-	}
-	seen := make([]bool, k)
-	at, count := 0, 0
-	for !seen[at] {
-		seen[at] = true
-		count++
-		at = (at + p) % k
-	}
-	return count == k
-}

@@ -105,20 +105,6 @@ func NewCoinChange(n int, coins []int, bidirectional bool) (*CoinChange, error) 
 	return cc, nil
 }
 
-// Coins returns the effective coin set (including reverse coins when
-// bidirectional), in insertion order.
-func (cc *CoinChange) Coins() []int { return append([]int(nil), cc.coins...) }
-
-// Hops returns the minimal number of coin hops needed to cover distance d
-// in Z_n.
-func (cc *CoinChange) Hops(d int) int {
-	d = ((d % cc.n) + cc.n) % cc.n
-	if d == 0 {
-		return 0
-	}
-	return len(cc.seq[d])
-}
-
 // Route returns the node sequence src, …, dst using coin hops. Every
 // consecutive pair differs by a coin value (mod n), i.e. follows a direct
 // ring link of the AllReduce sub-topology.
@@ -194,19 +180,6 @@ func (t *Table) PairCount() int {
 		c += len(m)
 	}
 	return c
-}
-
-// FromCoinChange fills the table with coin-change routes for all ordered
-// pairs.
-func (t *Table) FromCoinChange(cc *CoinChange) {
-	for s := 0; s < t.n; s++ {
-		for d := 0; d < t.n; d++ {
-			if s == d {
-				continue
-			}
-			t.Set(s, d, cc.Route(s, d))
-		}
-	}
 }
 
 // FillShortestPaths installs minimum-hop routes on g for every ordered pair

@@ -238,7 +238,7 @@ func TestClusterSingleHopAndCounters(t *testing.T) {
 	if cresp.StatusCode != http.StatusOK || cresp.Header.Get(OwnerHeader) != urls[2] {
 		t.Fatalf("compare status %d owner %q, want 200 via %s", cresp.StatusCode, cresp.Header.Get(OwnerHeader), urls[2])
 	}
-	if rec := nodes[0].svc.Telemetry().Requests()[0]; rec.Endpoint != "compare" || rec.Fingerprint != fp {
+	if rec := nodes[0].svc.tel.Requests()[0]; rec.Endpoint != "compare" || rec.Fingerprint != fp {
 		t.Fatalf("edge record %s/%q, want compare/%s", rec.Endpoint, rec.Fingerprint, fp)
 	}
 }

@@ -159,6 +159,15 @@ func TestHTTPFleetValidation(t *testing.T) {
 		t.Errorf("bad policy status %d", code)
 	}
 
+	// A GPU that cannot time a layer would simulate +Inf JCTs.
+	bad = tinyFleetSpec(1)
+	bad.GPU = topoopt.GPU{PeakFLOPS: 1e12}
+	code, _, e = postFleet(t, ts.URL, bad)
+	if msg, _ := json.Marshal(e); code != http.StatusBadRequest ||
+		!strings.Contains(string(msg), `"bad_request"`) || !strings.Contains(string(msg), `"spec"`) {
+		t.Errorf("GPU without mem_bandwidth: status %d, error %s; want 400 bad_request on spec", code, msg)
+	}
+
 	// Unknown fields are rejected like every other endpoint.
 	resp, err := http.Post(ts.URL+"/v1/fleet", "application/json",
 		strings.NewReader(`{"spec": {"servers": 8}, "bogus": 1}`))

@@ -1389,11 +1389,6 @@ func (s *Service) evictJobsLocked() {
 	}
 }
 
-// Telemetry returns the service's trace registry — the ring of recent
-// request breakdowns behind /debug/requests and the per-stage quantile
-// windows folded into /metrics. Never nil.
-func (s *Service) Telemetry() *telemetry.Registry { return s.tel }
-
 // Metrics returns a point-in-time snapshot of the service counters and
 // gauges.
 func (s *Service) Metrics() MetricsSnapshot {

@@ -340,6 +340,11 @@ func TestHTTPPlanValidation(t *testing.T) {
 		{"servers too small", `{"model":{"preset":"bert"},"options":{"servers":1,"degree":4,"link_bandwidth":25e9}}`, http.StatusBadRequest, "bad_request", "options"},
 		{"degree too small", `{"model":{"preset":"bert"},"options":{"servers":12,"degree":0,"link_bandwidth":25e9}}`, http.StatusBadRequest, "bad_request", "options"},
 		{"no bandwidth", `{"model":{"preset":"bert"},"options":{"servers":12,"degree":4}}`, http.StatusBadRequest, "bad_request", "options"},
+		{"gpu without mem_bandwidth", `{"model":{"preset":"bert"},"options":{"servers":12,"degree":4,"link_bandwidth":25e9,"gpu":{"peak_flops":1e12}}}`, http.StatusBadRequest, "bad_request", "options"},
+		{"negative peak_flops", `{"model":{"preset":"bert"},"options":{"servers":12,"degree":4,"link_bandwidth":25e9,"gpu":{"peak_flops":-1e12,"mem_bandwidth":1e12}}}`, http.StatusBadRequest, "bad_request", "options"},
+		{"negative options batch", `{"model":{"preset":"bert"},"options":{"servers":12,"degree":4,"link_bandwidth":25e9,"batch_per_gpu":-8}}`, http.StatusBadRequest, "bad_request", "options"},
+		{"negative model batch", `{"model":{"preset":"bert","batch_per_gpu":-8},"options":{"servers":12,"degree":4,"link_bandwidth":25e9}}`, http.StatusBadRequest, "bad_request", "model"},
+		{"negative vgg_depth", `{"model":{"preset":"vgg16","vgg_depth":-1},"options":{"servers":12,"degree":4,"link_bandwidth":25e9}}`, http.StatusBadRequest, "bad_request", "model"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical helpers the experiment
-// harness needs: percentiles, CDF sampling and simple summaries.
+// harness needs: percentiles, means and simple summaries.
 package stats
 
 import (
@@ -77,45 +77,6 @@ func Min(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// CDFPoint is one (value, cumulative fraction) sample of an empirical CDF.
-type CDFPoint struct {
-	Value float64
-	Frac  float64
-}
-
-// CDF returns the empirical CDF of xs as points at each distinct value.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var out []CDFPoint
-	for i, v := range s {
-		frac := float64(i+1) / float64(len(s))
-		if len(out) > 0 && out[len(out)-1].Value == v {
-			out[len(out)-1].Frac = frac
-			continue
-		}
-		out = append(out, CDFPoint{Value: v, Frac: frac})
-	}
-	return out
-}
-
-// CDFAt evaluates the empirical CDF of xs at value v.
-func CDFAt(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 // Summary formats mean/p50/p99/max of xs compactly for experiment output.

@@ -46,36 +46,6 @@ func TestMeanMinMax(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	xs := []float64{3, 1, 3, 2}
-	pts := CDF(xs)
-	if len(pts) != 3 {
-		t.Fatalf("points = %v", pts)
-	}
-	if pts[0].Value != 1 || pts[0].Frac != 0.25 {
-		t.Errorf("first point %v", pts[0])
-	}
-	if pts[2].Value != 3 || pts[2].Frac != 1 {
-		t.Errorf("last point %v", pts[2])
-	}
-	if CDF(nil) != nil {
-		t.Error("empty CDF should be nil")
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if CDFAt(xs, 2.5) != 0.5 {
-		t.Errorf("CDFAt(2.5) = %v", CDFAt(xs, 2.5))
-	}
-	if CDFAt(xs, 0) != 0 || CDFAt(xs, 10) != 1 {
-		t.Error("CDF bounds wrong")
-	}
-	if CDFAt(nil, 1) != 0 {
-		t.Error("empty CDFAt should be 0")
-	}
-}
-
 func TestSummaryFormat(t *testing.T) {
 	if Summary(nil) != "n=0" {
 		t.Error("empty summary")

@@ -131,14 +131,6 @@ func (t *Trace) SetWarm(warm bool) {
 	t.warm = warm
 }
 
-// Elapsed is the wall time since the trace began.
-func (t *Trace) Elapsed() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.t0)
-}
-
 // AppendHeader appends the X-Trace summary — "total=…;stage=…;…", stages
 // in enum order, zero stages omitted, microsecond precision — to b and
 // returns it. An open stage is included up to now without closing it.

@@ -70,14 +70,17 @@ func TestTimeToAccuracy(t *testing.T) {
 	}
 }
 
+// TestAccuracyCurveMonotone: TimeToAccuracy returns the first epoch of
+// the VGG19 trajectory that reaches the target, which is the fastest
+// only if the trajectory rises strictly in both epoch and accuracy.
 func TestAccuracyCurveMonotone(t *testing.T) {
-	hours, acc := AccuracyCurve(5000)
-	if len(hours) != len(acc) || len(hours) == 0 {
-		t.Fatal("curve shape wrong")
+	if len(vgg19Top5) == 0 {
+		t.Fatal("empty accuracy trajectory")
 	}
-	for i := 1; i < len(hours); i++ {
-		if hours[i] <= hours[i-1] || acc[i] <= acc[i-1] {
-			t.Fatal("curve must be strictly increasing")
+	for i := 1; i < len(vgg19Top5); i++ {
+		prev, pt := vgg19Top5[i-1], vgg19Top5[i]
+		if pt.Epoch <= prev.Epoch || pt.Acc <= prev.Acc {
+			t.Fatalf("trajectory not strictly increasing at %+v after %+v", pt, prev)
 		}
 	}
 }

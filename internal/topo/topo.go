@@ -24,9 +24,6 @@ type Network struct {
 	Name            string
 }
 
-// IsSwitch reports whether node v is a switch.
-func (n *Network) IsSwitch(v int) bool { return v >= n.Hosts }
-
 // IdealSwitch builds the Ideal Switch baseline: every server connects to
 // one non-blocking switch with a duplex link of perServerBW bits/s (§5.1:
 // d×B per server). Node n is the switch.
@@ -250,15 +247,4 @@ func DirectConnect(n int, pairs [][2]int, bw float64) *Network {
 		g.AddDuplex(p[0], p[1], bw)
 	}
 	return &Network{G: g, Hosts: n, ForwardingHosts: true, Name: "DirectConnect"}
-}
-
-// DegreeOK reports whether no server exceeds degree d (counting outgoing
-// duplex links).
-func (nw *Network) DegreeOK(d int) bool {
-	for v := 0; v < nw.Hosts; v++ {
-		if nw.G.OutDegree(v) > d {
-			return false
-		}
-	}
-	return true
 }

@@ -119,22 +119,6 @@ func Durations(jobs []Job) []float64 {
 	return out
 }
 
-// NetworkOverhead models Figure 3: the fraction of iteration time spent
-// in communication as GPU count grows on a fixed-bandwidth fabric.
-// Communication per worker grows with the AllReduce span (2(k-1)/k·S) and
-// the per-worker compute stays constant (weak scaling), so overhead =
-// comm/(comm+compute) rises with k. commScale encodes how network-heavy
-// the DNN is (seconds of comm per unit of 2(k-1)/k at the cluster's
-// bandwidth) relative to one second of compute.
-func NetworkOverhead(gpus int, commScale float64) float64 {
-	if gpus < 2 {
-		return 0
-	}
-	k := float64(gpus)
-	comm := commScale * 2 * (k - 1) / k * (1 + 0.15*math.Log2(k/8+1))
-	return comm / (comm + 1) * 100
-}
-
 // ProductionHeatmap synthesizes a Figure 4-style traffic heatmap for a
 // job with n servers: a ring-AllReduce diagonal plus MP rows/columns for
 // a family-dependent number of model-parallel hosts.

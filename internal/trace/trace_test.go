@@ -105,24 +105,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestNetworkOverheadGrowsWithGPUs(t *testing.T) {
-	// Figure 3 shape: monotone growth, reaching tens of percent at 128.
-	prev := -1.0
-	for _, g := range []int{8, 16, 32, 64, 128} {
-		o := NetworkOverhead(g, 0.3)
-		if o <= prev {
-			t.Errorf("overhead not increasing at %d GPUs: %g <= %g", g, o, prev)
-		}
-		prev = o
-	}
-	if o := NetworkOverhead(128, 0.8); o < 40 || o > 80 {
-		t.Errorf("network-heavy model at 128 GPUs = %g%%, want 40-80%%", o)
-	}
-	if NetworkOverhead(1, 1) != 0 {
-		t.Error("single GPU has no network overhead")
-	}
-}
-
 func TestProductionHeatmapRingSignature(t *testing.T) {
 	tm := ProductionHeatmap(Recommendation, 48, 3)
 	if !IsRingDominant(tm) {

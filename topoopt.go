@@ -76,7 +76,8 @@ type Options struct {
 	Degree int `json:"degree"`
 	// LinkBandwidth is per-interface bandwidth in bits/s (B).
 	LinkBandwidth float64 `json:"link_bandwidth"`
-	// BatchPerGPU overrides the model's default when > 0.
+	// BatchPerGPU overrides the model's default when > 0; negative values
+	// are rejected.
 	BatchPerGPU int `json:"batch_per_gpu,omitempty"`
 	// Rounds is the alternating-optimization hyper-parameter k
 	// (default 3).
@@ -90,7 +91,9 @@ type Options struct {
 	// PrimeOnly restricts TotientPerms to prime generators (recommended
 	// beyond a few hundred servers).
 	PrimeOnly bool `json:"prime_only,omitempty"`
-	// GPU overrides the accelerator model (default A100).
+	// GPU overrides the accelerator model (default A100, selected by a
+	// zero PeakFLOPS); an override needs positive PeakFLOPS and
+	// MemBandwidth.
 	GPU GPU `json:"gpu"`
 	// Parallelism is the number of parallel MCMC chains (K) per strategy
 	// search (default 1, max flexnet.MaxParallelism). Semantic: the plan
@@ -154,6 +157,16 @@ func (o Options) Validate() error {
 	}
 	if o.Parallelism > flexnet.MaxParallelism {
 		return fmt.Errorf("topoopt: Parallelism must be <= %d, got %d", flexnet.MaxParallelism, o.Parallelism)
+	}
+	if o.BatchPerGPU < 0 {
+		return fmt.Errorf("topoopt: BatchPerGPU must be >= 0, got %d", o.BatchPerGPU)
+	}
+	// A zero PeakFLOPS selects the default A100 (Canonical); any other GPU
+	// must describe one.
+	if o.GPU.PeakFLOPS != 0 {
+		if err := o.GPU.Validate(); err != nil {
+			return fmt.Errorf("topoopt: %w", err)
+		}
 	}
 	return nil
 }

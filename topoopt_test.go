@@ -58,14 +58,23 @@ func TestOptimizeProducesDeployablePlan(t *testing.T) {
 
 func TestOptimizeValidation(t *testing.T) {
 	m := CANDLE(Sec6)
-	if _, err := Optimize(m, Options{Servers: 1, Degree: 4, LinkBandwidth: 1e9}); err == nil {
-		t.Error("Servers=1 should fail")
+	cases := []struct {
+		name string
+		o    Options
+	}{
+		{"Servers=1", Options{Servers: 1, Degree: 4, LinkBandwidth: 1e9}},
+		{"Degree=0", Options{Servers: 8, Degree: 0, LinkBandwidth: 1e9}},
+		{"zero bandwidth", Options{Servers: 8, Degree: 4}},
+		{"GPU without mem_bandwidth", Options{Servers: 8, Degree: 4, LinkBandwidth: 1e9,
+			GPU: GPU{PeakFLOPS: 1e12}}},
+		{"negative peak_flops", Options{Servers: 8, Degree: 4, LinkBandwidth: 1e9,
+			GPU: GPU{PeakFLOPS: -1e12, MemBandwidth: 1e12}}},
+		{"negative BatchPerGPU", Options{Servers: 8, Degree: 4, LinkBandwidth: 1e9, BatchPerGPU: -8}},
 	}
-	if _, err := Optimize(m, Options{Servers: 8, Degree: 0, LinkBandwidth: 1e9}); err == nil {
-		t.Error("Degree=0 should fail")
-	}
-	if _, err := Optimize(m, Options{Servers: 8, Degree: 4}); err == nil {
-		t.Error("zero bandwidth should fail")
+	for _, c := range cases {
+		if _, err := Optimize(m, c.o); err == nil {
+			t.Errorf("%s should fail", c.name)
+		}
 	}
 }
 

@@ -82,9 +82,10 @@ type ModelSpec struct {
 	// Section selects the preset configuration: "5.3" (default), "5.6"
 	// or "6".
 	Section string `json:"section,omitempty"`
-	// BatchPerGPU overrides the preset's per-GPU batch size when > 0.
+	// BatchPerGPU overrides the preset's per-GPU batch size when > 0;
+	// negative values are rejected.
 	BatchPerGPU int `json:"batch_per_gpu,omitempty"`
-	// VGGDepth overrides the VGG variant (16 or 19) when > 0.
+	// VGGDepth overrides the VGG variant (16 or 19) when nonzero.
 	VGGDepth int `json:"vgg_depth,omitempty"`
 }
 
@@ -159,7 +160,7 @@ func (sp ModelSpec) Resolve() (*Model, error) {
 		m = ResNet50(sec)
 	case "vgg16", "vgg":
 		m = VGG16(sec)
-		if sp.VGGDepth > 0 {
+		if sp.VGGDepth != 0 {
 			if sp.VGGDepth != 16 && sp.VGGDepth != 19 {
 				return nil, fmt.Errorf("topoopt: vgg_depth must be 16 or 19, got %d", sp.VGGDepth)
 			}
@@ -168,8 +169,11 @@ func (sp ModelSpec) Resolve() (*Model, error) {
 	default:
 		return nil, fmt.Errorf("topoopt: unknown preset %q (want dlrm, candle, bert, ncf, resnet50 or vgg16)", sp.Preset)
 	}
-	if sp.VGGDepth > 0 && !strings.HasPrefix(strings.ToLower(sp.Preset), "vgg") {
+	if sp.VGGDepth != 0 && !strings.HasPrefix(strings.ToLower(sp.Preset), "vgg") {
 		return nil, fmt.Errorf("topoopt: vgg_depth override only applies to the vgg16 preset, not %q", sp.Preset)
+	}
+	if sp.BatchPerGPU < 0 {
+		return nil, fmt.Errorf("topoopt: batch_per_gpu must be >= 0, got %d", sp.BatchPerGPU)
 	}
 	if sp.BatchPerGPU > 0 {
 		m.BatchPerGPU = sp.BatchPerGPU
