@@ -60,7 +60,7 @@ race:
 SUITES := netsim serve flexnet fleet
 SUITE.netsim  := ./internal/netsim    BenchmarkNetsim                                                BENCH_netsim.json
 SUITE.serve   := ./internal/serve     BenchmarkServe                                                 BENCH_serve.json
-SUITE.flexnet := ./internal/flexnet,. 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$' BENCH_flexnet.json
+SUITE.flexnet := ./internal/flexnet,./internal/core,. 'BenchmarkMCMCSearch|^BenchmarkWarmReplan|^BenchmarkCompare$$|^BenchmarkCoOptimize$$|^BenchmarkTopologyFinder$$' BENCH_flexnet.json
 SUITE.fleet   := ./internal/fleet     BenchmarkFleet                                                 BENCH_cluster.json
 
 comma := ,
@@ -204,8 +204,12 @@ chaos:
 # high because ring ownership is a pure deterministic function the whole
 # sharded cluster agrees through — an untested arc is a silent
 # split-brain — and internal/slo because the SLO gate's own arithmetic
-# must not be the thing that lies about a regression.
-COVER_FLOORS := internal/arch:80 internal/cost:90 internal/cluster:80 internal/fleet:80 internal/wal:85 internal/telemetry:85 internal/shard:90 internal/slo:85
+# must not be the thing that lies about a regression. internal/graph and
+# internal/parallel carry the strategy search's hot path (the one
+# Dijkstra whose pop order decides routes, the strategy clone and server
+# marks every proposal pays for): a faster rewrite must stay as tested
+# as the code it replaced.
+COVER_FLOORS := internal/arch:80 internal/cost:90 internal/cluster:80 internal/fleet:80 internal/wal:85 internal/telemetry:85 internal/shard:90 internal/slo:85 internal/graph:90 internal/parallel:85
 
 cover:
 	@set -e; for spec in $(COVER_FLOORS); do \

@@ -21,7 +21,6 @@ var exportConsumers = map[string]string{
 	"internal/graph.Graph.InDegree":                 "core tests check TopologyFinder's degree bound",
 	"internal/graph.Graph.Neighbors":                "topo tests check fabric wiring",
 	"internal/graph.Graph.ShortestPath":             "netsim and route tests build flow paths",
-	"internal/graph.dijkstraHeap.Less":              "container/heap.Interface, used by Dijkstra",
 	"internal/model.DLRMAllToAll":                   "parallel tests use the §5.4 all-to-all model",
 	"internal/model.Model.DenseParamBytes":          "traffic tests check AllReduce volumes",
 	"internal/netsim.Sim.SetLinkCap":                "BenchmarkNetsimReconfigChurn, recorded in BENCH_netsim.json",

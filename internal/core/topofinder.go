@@ -281,15 +281,20 @@ func TopologyFinder(cfg Config, dem traffic.Demand) (*Result, error) {
 
 	// MP routes: k-shortest paths on the combined topology for every pair
 	// with MP demand; the primary path goes into the table, alternatives
-	// into MPPaths.
+	// into MPPaths. One searcher serves every pair.
+	sr := graph.NewSearcher(g)
 	for s := 0; s < cfg.N; s++ {
 		for d := 0; d < cfg.N; d++ {
 			if s == d || dem.MP[s][d] == 0 {
 				continue
 			}
-			paths := route.KShortest(g, s, d, cfg.KShortest)
-			if len(paths) == 0 {
+			ks := sr.KShortestPaths(s, d, cfg.KShortest, graph.UnitWeight)
+			if len(ks) == 0 {
 				return nil, fmt.Errorf("core: no MP path %d -> %d", s, d)
+			}
+			paths := make([][]int, len(ks))
+			for i, p := range ks {
+				paths[i] = p.Nodes(g, s)
 			}
 			res.MPPaths[[2]int{s, d}] = paths
 			// MP routes take priority over coin-change detours when the

@@ -90,3 +90,20 @@ func BenchmarkWarmReplan(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCoOptimize times one CoOptimize call on the path the daemon
+// serves: dlrm §5.3 on 32 servers, degree 4, 100 Gbps, 400 proposals per
+// round. Each round runs TopologyFinder, then an MCMC search scored by
+// DeltaEval on the resulting TopoOpt fabric; the call ends with one
+// flow-level simulation. BenchmarkMCMCSearch, by contrast, scores with
+// the closure evaluator on an ideal switch.
+func BenchmarkCoOptimize(b *testing.B) {
+	m := model.DLRMPreset(model.Sec53)
+	cfg := CoOptConfig{N: 32, Degree: 4, LinkBW: 100e9, MCMCIters: 400, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := CoOptimize(m, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -134,16 +134,17 @@ func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 			}
 		}
 		bfsDist, _ := g.BFS(0)
-		dist, _ := g.Dijkstra(0, UnitWeight)
+		s := NewSearcher(g)
+		dijkstraAll(s, 0, UnitWeight)
 		for v := 0; v < n; v++ {
 			if bfsDist[v] == -1 {
-				if dist[v] >= 0 {
+				if s.reached(v) {
 					t.Fatalf("trial %d: node %d reachable by dijkstra only", trial, v)
 				}
 				continue
 			}
-			if int(dist[v]) != bfsDist[v] {
-				t.Fatalf("trial %d node %d: dijkstra %v, bfs %d", trial, v, dist[v], bfsDist[v])
+			if !s.reached(v) || int(s.dist[v]) != bfsDist[v] {
+				t.Fatalf("trial %d node %d: dijkstra %v, bfs %d", trial, v, s.dist[v], bfsDist[v])
 			}
 		}
 	}
@@ -160,7 +161,7 @@ func TestWeightedShortestPathPrefersLightEdges(t *testing.T) {
 		}
 		return 1
 	}
-	p := g.WeightedShortestPath(0, 2, w)
+	p := NewSearcher(g).WeightedShortestPath(0, 2, w)
 	if len(p) != 2 {
 		t.Errorf("expected 2-hop light path, got %d hops", len(p))
 	}
@@ -168,7 +169,7 @@ func TestWeightedShortestPathPrefersLightEdges(t *testing.T) {
 
 func TestKShortestPathsRing(t *testing.T) {
 	g := ring(6)
-	paths := g.KShortestPaths(0, 3, 3, UnitWeight)
+	paths := NewSearcher(g).KShortestPaths(0, 3, 3, UnitWeight)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2 (clockwise + counter-clockwise)", len(paths))
 	}
@@ -189,7 +190,7 @@ func TestKShortestPathsLoopless(t *testing.T) {
 				}
 			}
 		}
-		paths := g.KShortestPaths(0, n-1, 4, UnitWeight)
+		paths := NewSearcher(g).KShortestPaths(0, n-1, 4, UnitWeight)
 		for _, p := range paths {
 			nodes := p.Nodes(g, 0)
 			seen := make(map[int]bool)

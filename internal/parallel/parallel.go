@@ -9,7 +9,6 @@ package parallel
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"topoopt/internal/model"
 )
@@ -48,16 +47,19 @@ type Strategy struct {
 	Layers []LayerStrategy `json:"layers"`
 }
 
-// Validate checks structural consistency against the model.
+// Validate checks structural consistency against the model. Duplicate
+// servers are found with one mark per server, set while a group is
+// scanned and cleared after it, so each group costs linear time however
+// many of the N servers it holds.
 func (s Strategy) Validate(m *model.Model) error {
 	if len(s.Layers) != len(m.Layers) {
 		return fmt.Errorf("parallel: %d layer strategies for %d layers", len(s.Layers), len(m.Layers))
 	}
+	seen := make([]bool, max(s.N, 0))
 	for i, ls := range s.Layers {
 		if len(ls.Group) == 0 {
 			return fmt.Errorf("parallel: layer %d (%s) has empty group", i, m.Layers[i].Name)
 		}
-		seen := make(map[int]bool)
 		for _, v := range ls.Group {
 			if v < 0 || v >= s.N {
 				return fmt.Errorf("parallel: layer %d places server %d outside [0,%d)", i, v, s.N)
@@ -66,6 +68,9 @@ func (s Strategy) Validate(m *model.Model) error {
 				return fmt.Errorf("parallel: layer %d repeats server %d", i, v)
 			}
 			seen[v] = true
+		}
+		for _, v := range ls.Group {
+			seen[v] = false
 		}
 		if ls.Kind == Sharded && !m.Layers[i].Shardable {
 			return fmt.Errorf("parallel: layer %d (%s) is not shardable", i, m.Layers[i].Name)
@@ -91,11 +96,24 @@ func (s Strategy) Fingerprint() string {
 	return string(b)
 }
 
-// Clone returns a deep copy (for MCMC proposals).
+// Clone returns a deep copy (for MCMC proposals). All groups share one
+// backing array, each capped at its own length, so an append to a
+// cloned group reallocates instead of overwriting its neighbour. Empty
+// groups come back nil.
 func (s Strategy) Clone() Strategy {
+	total := 0
+	for _, ls := range s.Layers {
+		total += len(ls.Group)
+	}
+	arena := make([]int, total)
 	c := Strategy{N: s.N, Layers: make([]LayerStrategy, len(s.Layers))}
 	for i, ls := range s.Layers {
-		c.Layers[i] = LayerStrategy{Kind: ls.Kind, Group: append([]int(nil), ls.Group...)}
+		c.Layers[i].Kind = ls.Kind
+		if n := len(ls.Group); n > 0 {
+			copy(arena, ls.Group)
+			c.Layers[i].Group = arena[:n:n]
+			arena = arena[n:]
+		}
 	}
 	return c
 }
@@ -124,20 +142,33 @@ func (s Strategy) ShardedLayers() []int {
 
 // Servers returns the distinct servers the strategy touches, ascending —
 // the job's world. Full-cluster strategies return [0..N); shard-scoped
-// strategies (HybridOn) return the shard members.
+// strategies (HybridOn) return the shard members. Every group must lie
+// in [0, N), as Validate checks.
 func (s Strategy) Servers() []int {
-	seen := make(map[int]bool)
-	for _, ls := range s.Layers {
-		for _, v := range ls.Group {
-			seen[v] = true
+	seen, k := s.mark()
+	out := make([]int, 0, k)
+	for v, ok := range seen {
+		if ok {
+			out = append(out, v)
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	return out
+}
+
+// mark reports which of the N servers some layer's group holds, and how
+// many do.
+func (s Strategy) mark() ([]bool, int) {
+	seen := make([]bool, s.N)
+	k := 0
+	for _, ls := range s.Layers {
+		for _, v := range ls.Group {
+			if !seen[v] {
+				seen[v] = true
+				k++
+			}
+		}
+	}
+	return seen, k
 }
 
 // allServers returns [0, 1, …, n-1].
@@ -228,6 +259,7 @@ func (s *Strategy) Replicate(li int, group ...int) {
 // lookup/compute for the whole global batch divided across shard hosts.
 func (s Strategy) ComputeTimes(m *model.Model, gpu model.GPU, batchPerGPU int) []float64 {
 	times := make([]float64, s.N)
+	world := 0 // len(s.Servers()), counted at the first sharded layer
 	for i, ls := range s.Layers {
 		l := m.Layers[i]
 		switch ls.Kind {
@@ -239,7 +271,10 @@ func (s Strategy) ComputeTimes(m *model.Model, gpu model.GPU, batchPerGPU int) [
 		case Sharded:
 			// Each shard host serves the global batch of every consumer;
 			// roofline on activation traffic plus its share of the weights.
-			globalBatch := batchPerGPU * len(s.Servers())
+			if world == 0 {
+				_, world = s.mark()
+			}
+			globalBatch := batchPerGPU * world
 			perHost := model.Layer{
 				Name:              l.Name,
 				Kind:              l.Kind,

@@ -1,7 +1,8 @@
 // Package route computes routing rules for TopoOpt fabrics: the modified
 // coin-change routing over the AllReduce sub-topology (Algorithm 4 /
-// Appendix E.1 of the paper) and k-shortest-path routing for MP transfers
-// over the combined topology (Algorithm 1, line 20).
+// Appendix E.1 of the paper) and the routing table that holds them and
+// the MP paths core.TopologyFinder picks over the combined topology
+// (Algorithm 1, line 20).
 //
 // Coin-change routing treats the selected ring generation rules p1..pd as
 // coin denominations in the cyclic group Z_n: the hop sequence from server
@@ -204,18 +205,6 @@ func (t *Table) FillShortestPaths(g *graph.Graph) {
 			t.Set(s, d, nodes)
 		}
 	}
-}
-
-// KShortest computes up to k loopless shortest paths between src and dst on
-// g and returns them as node paths; MP routing spreads flows across them in
-// round-robin (§5.5 notes the residual load imbalance this leaves).
-func KShortest(g *graph.Graph, src, dst, k int) [][]int {
-	paths := g.KShortestPaths(src, dst, k, graph.UnitWeight)
-	out := make([][]int, 0, len(paths))
-	for _, p := range paths {
-		out = append(out, p.Nodes(g, src))
-	}
-	return out
 }
 
 // LinkLoads routes the traffic matrix tm (bytes, tm[s][d]) over the table

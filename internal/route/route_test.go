@@ -217,23 +217,6 @@ func TestLinkLoadsAndBandwidthTax(t *testing.T) {
 	}
 }
 
-func TestKShortestNodePaths(t *testing.T) {
-	g := graph.New(4)
-	g.AddDuplex(0, 1, 1)
-	g.AddDuplex(1, 3, 1)
-	g.AddDuplex(0, 2, 1)
-	g.AddDuplex(2, 3, 1)
-	paths := KShortest(g, 0, 3, 4)
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2", len(paths))
-	}
-	for _, p := range paths {
-		if p[0] != 0 || p[len(p)-1] != 3 {
-			t.Errorf("bad path %v", p)
-		}
-	}
-}
-
 // hops returns the minimal number of coin hops covering distance d in
 // Z_n, as the coin-change table records it.
 func hops(cc *CoinChange, d int) int {

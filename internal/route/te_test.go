@@ -99,7 +99,7 @@ func TestBalanceImprovesImbalanceOnRealTopology(t *testing.T) {
 			if s == d {
 				continue
 			}
-			cands[[2]int{s, d}] = KShortest(g, s, d, 3)
+			cands[[2]int{s, d}] = kShortestNodes(g, s, d, 3)
 		}
 	}
 	single := tab.LinkLoads(tm)
@@ -220,61 +220,6 @@ func TestTorusFillTableDeterministic(t *testing.T) {
 	}
 }
 
-// tieGraph builds a graph with many equal-length s->t paths: a 2-wide,
-// 3-long ladder where every layer offers two parallel choices.
-func tieGraph() (*graph.Graph, int, int) {
-	g := graph.New(8)
-	// 0 -> {1,2} -> {3,4} -> {5,6} -> 7 with full bipartite layers.
-	g.AddDuplex(0, 1, 1e9)
-	g.AddDuplex(0, 2, 1e9)
-	for _, a := range []int{1, 2} {
-		for _, b := range []int{3, 4} {
-			g.AddDuplex(a, b, 1e9)
-		}
-	}
-	for _, a := range []int{3, 4} {
-		for _, b := range []int{5, 6} {
-			g.AddDuplex(a, b, 1e9)
-		}
-	}
-	g.AddDuplex(5, 7, 1e9)
-	g.AddDuplex(6, 7, 1e9)
-	return g, 0, 7
-}
-
-func TestKShortestTieBreakDeterministic(t *testing.T) {
-	// Eight equal-length 0->7 paths: the selection and order of the k
-	// returned paths must be identical run over run — plan fingerprints
-	// and the serve cache rely on routing being a pure function.
-	g0, s, d := tieGraph()
-	base := KShortest(g0, s, d, 4)
-	if len(base) != 4 {
-		t.Fatalf("got %d paths, want 4", len(base))
-	}
-	for _, p := range base {
-		if len(p) != 5 {
-			t.Errorf("path %v is not shortest (4 hops)", p)
-		}
-	}
-	for run := 0; run < 10; run++ {
-		g, _, _ := tieGraph() // a fresh graph: no shared state between runs
-		got := KShortest(g, s, d, 4)
-		if len(got) != len(base) {
-			t.Fatalf("run %d: %d paths vs %d", run, len(got), len(base))
-		}
-		for i := range got {
-			if len(got[i]) != len(base[i]) {
-				t.Fatalf("run %d: path %d = %v vs %v", run, i, got[i], base[i])
-			}
-			for j := range got[i] {
-				if got[i][j] != base[i][j] {
-					t.Fatalf("run %d: path %d = %v vs %v", run, i, got[i], base[i])
-				}
-			}
-		}
-	}
-}
-
 func TestBalanceDeterministicOnTies(t *testing.T) {
 	// Two identical demands over symmetric candidates: Balance's
 	// hot-link scan and flow ordering must break ties identically run
@@ -307,4 +252,14 @@ func TestBalanceDeterministicOnTies(t *testing.T) {
 			}
 		}
 	}
+}
+
+// kShortestNodes returns up to k shortest s->d paths on g as node
+// sequences, the candidate shape core.TopologyFinder hands to Balance.
+func kShortestNodes(g *graph.Graph, s, d, k int) [][]int {
+	var out [][]int
+	for _, p := range graph.NewSearcher(g).KShortestPaths(s, d, k, graph.UnitWeight) {
+		out = append(out, p.Nodes(g, s))
+	}
+	return out
 }
