@@ -110,8 +110,8 @@ warm-bench: flexnet-bench
 # `make slo-bench` is the PR-time recorder for the serve suite now that
 # it includes the open-loop SLO benchmark (BenchmarkServeOpenLoopSLO:
 # Poisson arrivals at a fixed offered rate against an in-process daemon,
-# ns/op = the run's overall p99 — the serving-tail trajectory the SLO
-# harness gates on). Runs the suite once, records it into
+# ns/op = the median overall p99 of five windows — the serving-tail
+# trajectory the SLO harness gates on). Runs the suite once, records it into
 # BENCH_serve.json, then copies that recording into the
 # BENCH_HISTORY.json ledger under HISTORY_LABEL.
 slo-bench: serve-bench

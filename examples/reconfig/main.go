@@ -46,7 +46,7 @@ func main() {
 		rowVals := make([]string, 2)
 		for i, fw := range []bool{true, false} {
 			cfg := flexnet.OCSRunConfig{N: n, D: d, LinkBW: bw,
-				ReconfigLatency: lat, MeasureInterval: 0.050, HostForwarding: fw}
+				ReconfigLatency: lat, HostForwarding: fw}
 			t, err := flexnet.SimulateOCSIteration(cfg, dem, compute)
 			if err != nil {
 				log.Fatal(err)

@@ -32,7 +32,6 @@ func reconfigurableIteration(m *model.Model, o Options, reconfigLatency float64,
 	compute := st.MaxComputeTime(m, gpu, batch)
 	cfg := flexnet.OCSRunConfig{
 		N: o.Servers, D: o.Degree, LinkBW: o.LinkBW,
-		MeasureInterval: 0.050,
 		ReconfigLatency: reconfigLatency,
 		HostForwarding:  hostForwarding,
 		Discount:        discount,

@@ -18,15 +18,19 @@ import (
 
 // Ring adds the traffic of a ring-AllReduce over the group members using
 // generation rule p (server members[i] sends to members[(i+p) mod k]).
-// Each member sends 2·(k-1)/k·bytes to its ring successor.
+// Each member sends 2·(k-1)/k·bytes to its ring successor. It panics,
+// as perm.Ring does, if gcd(p, k) != 1.
 func Ring(tm traffic.Matrix, members []int, p int, bytes int64) {
 	k := len(members)
 	if k < 2 {
 		return
 	}
+	if perm.GCD(p, k) != 1 {
+		panic(fmt.Sprintf("perm: p=%d not coprime with group size %d", p, k))
+	}
 	per := traffic.RingPerNodeBytes(bytes, k)
-	for _, e := range perm.Ring(members, p) {
-		tm.Add(e.From, e.To, per)
+	for i, m := range members {
+		tm.Add(m, members[(i+p)%k], per)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // BenchmarkTopologyFinder times Algorithm 1 on dlrm §5.3's hybrid demand
 // at 32 servers and degree 4, the first topology CoOptimize builds for
 // that job. Its 64 embedding tables sit on every server, so every ordered
-// pair carries MP traffic and gets a k-shortest-path search.
+// pair carries MP traffic and gets a shortest-path search.
 func BenchmarkTopologyFinder(b *testing.B) {
 	m := model.DLRMPreset(model.Sec53)
 	dem, err := traffic.FromStrategy(m, parallel.Hybrid(m, 32), m.BatchPerGPU)

@@ -35,9 +35,6 @@ type Config struct {
 	// PrimeOnly restricts TotientPerms candidates to 1 and primes (the
 	// paper's large-scale variant).
 	PrimeOnly bool
-	// KShortest is the number of alternative MP paths to compute
-	// (Algorithm 1 line 20); values < 1 default to 2.
-	KShortest int
 }
 
 // GroupRings records the ring permutations selected for one AllReduce
@@ -51,14 +48,11 @@ type GroupRings struct {
 // Result is TopologyFinder's output: the topology (as a directed
 // multigraph wrapped in a Network), per-group AllReduce permutations,
 // and the routing table covering AllReduce (coin-change) and MP
-// (k-shortest-path) transfers.
+// (shortest-path) transfers.
 type Result struct {
 	Network *topo.Network
 	Rings   []GroupRings
 	Routes  *route.Table
-	// MPPaths holds the k-shortest alternatives per MP pair for
-	// load-spreading in the simulator.
-	MPPaths map[[2]int][][]int
 	// DegreeAllReduce and DegreeMP are the degree split of Algorithm 1
 	// lines 2–3.
 	DegreeAllReduce int
@@ -76,10 +70,6 @@ func TopologyFinder(cfg Config, dem traffic.Demand) (*Result, error) {
 	if dem.N != cfg.N {
 		return nil, fmt.Errorf("core: demand for %d servers, config for %d", dem.N, cfg.N)
 	}
-	if cfg.KShortest < 1 {
-		cfg.KShortest = 2
-	}
-
 	// Step 1: distribute degree between AllReduce and MP (lines 2–3).
 	sumAR := float64(dem.TotalAllReduceBytes())
 	sumMP := float64(dem.TotalMPBytes())
@@ -107,7 +97,6 @@ func TopologyFinder(cfg Config, dem traffic.Demand) (*Result, error) {
 	g := graph.New(cfg.N)
 	res := &Result{
 		Routes:          route.NewTable(cfg.N),
-		MPPaths:         make(map[[2]int][][]int),
 		DegreeAllReduce: dA,
 		DegreeMP:        dMP,
 	}
@@ -256,7 +245,7 @@ func TopologyFinder(cfg Config, dem traffic.Demand) (*Result, error) {
 		if k < 2 {
 			continue
 		}
-		cc, err := route.NewCoinChange(k, gr.Ps, false)
+		cc, err := route.NewCoinChange(k, gr.Ps)
 		if err != nil {
 			return nil, fmt.Errorf("core: coin change for group %v: %w", gr.Ps, err)
 		}
@@ -279,28 +268,23 @@ func TopologyFinder(cfg Config, dem traffic.Demand) (*Result, error) {
 		}
 	}
 
-	// MP routes: k-shortest paths on the combined topology for every pair
-	// with MP demand; the primary path goes into the table, alternatives
-	// into MPPaths. One searcher serves every pair.
+	// MP routes: one shortest path on the combined topology for every
+	// pair with MP demand. One searcher serves every pair.
 	sr := graph.NewSearcher(g)
 	for s := 0; s < cfg.N; s++ {
 		for d := 0; d < cfg.N; d++ {
 			if s == d || dem.MP[s][d] == 0 {
 				continue
 			}
-			ks := sr.KShortestPaths(s, d, cfg.KShortest, graph.UnitWeight)
-			if len(ks) == 0 {
+			p := sr.WeightedShortestPath(s, d, graph.UnitWeight)
+			if p == nil {
 				return nil, fmt.Errorf("core: no MP path %d -> %d", s, d)
 			}
-			paths := make([][]int, len(ks))
-			for i, p := range ks {
-				paths[i] = p.Nodes(g, s)
-			}
-			res.MPPaths[[2]int{s, d}] = paths
 			// MP routes take priority over coin-change detours when the
-			// combined topology offers a shorter path.
-			if cur := res.Routes.Get(s, d); cur == nil || len(paths[0]) < len(cur) {
-				res.Routes.Set(s, d, paths[0])
+			// combined topology offers a shorter path; a path of len(p)
+			// edges visits len(p)+1 nodes.
+			if cur := res.Routes.Get(s, d); cur == nil || len(p)+1 < len(cur) {
+				res.Routes.Set(s, d, p.Nodes(g, s))
 			}
 		}
 	}

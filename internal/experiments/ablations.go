@@ -42,7 +42,7 @@ func AblationSelectPerms(p Params) string {
 				}
 			}
 			diam := func(ps []int) string {
-				cc, err := route.NewCoinChange(n, ps, false)
+				cc, err := route.NewCoinChange(n, ps)
 				if err != nil {
 					return "err"
 				}

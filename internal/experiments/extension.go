@@ -42,7 +42,6 @@ func ExtTotientPermsFatTree(p Params) string {
 		for _, name := range []string{"single +1 ring", "TotientPerms x4"} {
 			ps := ringSets[name]
 			fab := flexnet.NewSwitchFabric(topo.OversubFatTree(n, rack, 100e9))
-			d2 := traffic.Demand{N: n, MP: traffic.NewMatrix(n)}
 			// Render the rings explicitly as grouped demand so the
 			// fabric's +1 fallback does not override the permutation set.
 			tm := traffic.NewMatrix(fab.Net.G.N())
@@ -53,7 +52,6 @@ func ExtTotientPermsFatTree(p Params) string {
 					tm.Add(members[i], members[(i+pp)%n], per)
 				}
 			}
-			_ = d2
 			it, err := simulateMatrix(fab, tm)
 			if err != nil {
 				fmt.Fprintf(&b, "  %-18s error: %v\n", name, err)

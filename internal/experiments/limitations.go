@@ -9,6 +9,7 @@ import (
 	"topoopt/internal/core"
 	"topoopt/internal/fleet"
 	"topoopt/internal/flexnet"
+	"topoopt/internal/graph"
 	"topoopt/internal/route"
 	"topoopt/internal/stats"
 	"topoopt/internal/traffic"
@@ -79,7 +80,7 @@ func ExtMoETimeVaryingTraffic(p Params) string {
 		}{{1e-6, &ocsFast}, {10e-3, &ocsSlow}} {
 			t2, err := flexnet.SimulateOCSIteration(flexnet.OCSRunConfig{
 				N: n, D: d, LinkBW: bw, ReconfigLatency: cfg.lat,
-				MeasureInterval: 0.050, HostForwarding: true,
+				HostForwarding: true,
 			}, dem, 0.002)
 			if err != nil {
 				return b.String() + "error: " + err.Error()
@@ -175,7 +176,7 @@ func ExtRoutingTE(p Params) string {
 		return b.String() + "error: " + err.Error()
 	}
 	for _, d := range []int{4, 8} {
-		tf, err := core.TopologyFinder(core.Config{N: n, D: d, LinkBW: 100e9, KShortest: 3}, dem)
+		tf, err := core.TopologyFinder(core.Config{N: n, D: d, LinkBW: 100e9}, dem)
 		if err != nil {
 			return b.String() + "error: " + err.Error()
 		}
@@ -190,8 +191,21 @@ func ExtRoutingTE(p Params) string {
 			sum += float64(v)
 		}
 		singleMean := sum / float64(len(loads))
-		// TE over the k-shortest candidates.
-		res, err := route.Balance(dem.MP, tf.MPPaths, 2000)
+		// TE over each MP pair's three shortest paths.
+		g := tf.Network.G
+		sr := graph.NewSearcher(g)
+		cands := make(map[[2]int][][]int)
+		for s := range dem.MP {
+			for t, bytes := range dem.MP[s] {
+				if bytes == 0 || s == t {
+					continue
+				}
+				for _, p := range sr.KShortestPaths(s, t, 3, graph.UnitWeight) {
+					cands[[2]int{s, t}] = append(cands[[2]int{s, t}], p.Nodes(g, s))
+				}
+			}
+		}
+		res, err := route.Balance(dem.MP, cands, 2000)
 		if err != nil {
 			return b.String() + "error: " + err.Error()
 		}

@@ -116,7 +116,7 @@ func Fig17ReconfigLatency(p Params) string {
 			vals := []string{fmt.Sprintf("%.0fus", lat*1e6)}
 			for _, fw := range []bool{true, false} {
 				cfg := flexnet.OCSRunConfig{N: n, D: d, LinkBW: bw,
-					ReconfigLatency: lat, MeasureInterval: 0.050, HostForwarding: fw}
+					ReconfigLatency: lat, HostForwarding: fw}
 				t, err := flexnet.SimulateOCSIteration(cfg, dem, compute)
 				if err != nil {
 					vals = append(vals, "err")

@@ -23,8 +23,8 @@ import (
 // explicitly:
 //
 //   - AllReduce groups are rendered with integer division
-//     (multiRingInto's per-ring share and RingPerNodeBytes), so a group's
-//     rendering is not linear in its byte count; any group whose
+//     (collective.MultiRing's per-ring share and RingPerNodeBytes), so a
+//     group's rendering is not linear in its byte count; any group whose
 //     membership or byte total changed is un-rendered at its old state
 //     and re-rendered at its new state as a whole.
 //   - MP traffic depends on the consumers set (Strategy.Servers()). A
@@ -301,7 +301,7 @@ func (de *DeltaEval) applyAR() {
 }
 
 // chargeGroup adds or removes one AllReduce group's full rendering,
-// replaying multiRingInto onto the link loads.
+// replaying collective.MultiRing onto the link loads.
 func (de *DeltaEval) chargeGroup(members []int, bytes int64, sign int64) {
 	ps := de.fab.ringsFor(members)
 	share := bytes / int64(len(ps))

@@ -12,6 +12,7 @@ package flexnet
 import (
 	"sync"
 
+	"topoopt/internal/collective"
 	"topoopt/internal/core"
 	"topoopt/internal/netsim"
 	"topoopt/internal/route"
@@ -89,11 +90,7 @@ func NewTopoOptFabric(res *core.Result) *Fabric {
 func (f *Fabric) AllReduceMatrix(dem traffic.Demand) traffic.Matrix {
 	tm := traffic.NewMatrix(f.Net.G.N())
 	for _, g := range dem.Groups {
-		if len(g.Members) < 2 {
-			continue
-		}
-		ps := f.ringsFor(g.Members)
-		multiRingInto(tm, g.Members, ps, g.Bytes)
+		collective.MultiRing(tm, g.Members, f.ringsFor(g.Members), g.Bytes)
 	}
 	return tm
 }
@@ -124,28 +121,6 @@ func sameMembers(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// multiRingInto splits bytes across the permutations' rings (collective
-// semantics, duplicated here to avoid an import cycle with the collective
-// package's tests using core).
-func multiRingInto(tm traffic.Matrix, members []int, ps []int, bytes int64) {
-	if len(ps) == 0 {
-		ps = []int{1}
-	}
-	share := bytes / int64(len(ps))
-	rem := bytes - share*int64(len(ps))
-	k := len(members)
-	for i, p := range ps {
-		b := share
-		if i == 0 {
-			b += rem
-		}
-		per := traffic.RingPerNodeBytes(b, k)
-		for j := 0; j < k; j++ {
-			tm.Add(members[j], members[(j+p)%k], per)
-		}
-	}
 }
 
 // mpMatrix widens the demand's MP matrix to the fabric's node count

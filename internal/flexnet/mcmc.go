@@ -31,6 +31,11 @@ const DefaultMCMCIters = 200
 // result — depends only on (Seed, Iters, Parallelism).
 const mcmcExchangePeriod = 25
 
+// mcmcTemp is the initial Metropolis temperature as a fraction of the
+// starting cost. Temperature decays linearly to ~0 over each chain's own
+// budget.
+const mcmcTemp = 0.05
+
 // MaxParallelism bounds MCMCConfig.Parallelism (and the wire-level
 // Options.Parallelism): chains beyond any plausible core count only cost
 // memory, and the bound keeps a hostile planning request from allocating
@@ -47,10 +52,6 @@ type MCMCConfig struct {
 	// one extra.
 	Iters int
 	Seed  int64
-	// Temp is the initial Metropolis temperature as a fraction of the
-	// initial cost (default 0.05). Temperature decays linearly to ~0 over
-	// each chain's own budget.
-	Temp float64
 	// Ctx, when non-nil, is checked by every chain between its own
 	// iterations: a cancelled or expired context stops all chains early
 	// and the best strategy found so far is returned. The check sits
@@ -131,7 +132,7 @@ type mcmcChain struct {
 	curCost  float64
 	best     parallel.Strategy
 	bestCost float64
-	t0       float64 // initial temperature (Temp × starting cost)
+	t0       float64 // initial temperature (mcmcTemp × starting cost)
 	iters    int     // this chain's share of the total budget
 	done     int     // proposals consumed so far
 	// delta holds evaluations made this epoch. It is chain-private while
@@ -140,54 +141,29 @@ type mcmcChain struct {
 	delta map[string]float64
 }
 
-// memoShards is the shard count of the shared memo store. Sharding keeps
-// each underlying map small (cheaper rehash during barrier merges) and
-// leaves room to parallelize the merge itself if it ever shows up in
-// profiles.
-const memoShards = 16
-
 // memoStore is the strategy-fingerprint → cost cache shared by all
 // chains. Reads are mutex-free: writes only happen at epoch barriers
 // (merge) or before chains start (put), when no chain goroutine is
 // running, and the barrier's WaitGroup establishes the happens-before
 // edge for the next epoch's readers.
-type memoStore struct {
-	shards [memoShards]map[string]float64
-}
+type memoStore map[string]float64
 
-func newMemoStore() *memoStore {
-	ms := &memoStore{}
-	for i := range ms.shards {
-		ms.shards[i] = make(map[string]float64)
-	}
-	return ms
-}
-
-// memoShard hashes a fingerprint to its shard (FNV-1a).
-func memoShard(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % memoShards)
-}
-
-func (ms *memoStore) get(key string) (float64, bool) {
-	v, ok := ms.shards[memoShard(key)][key]
+func (ms memoStore) get(key string) (float64, bool) {
+	v, ok := ms[key]
 	return v, ok
 }
 
 // put inserts one entry. Only call while no chain is running.
-func (ms *memoStore) put(key string, v float64) {
-	ms.shards[memoShard(key)][key] = v
+func (ms memoStore) put(key string, v float64) {
+	ms[key] = v
 }
 
 // merge folds a chain's epoch delta into the store. Only call at a
 // barrier. Map iteration order is irrelevant: a fingerprint always maps
 // to the same deterministic cost, whichever chain computed it.
-func (ms *memoStore) merge(delta map[string]float64) {
+func (ms memoStore) merge(delta map[string]float64) {
 	for k, v := range delta {
-		ms.shards[memoShard(k)][k] = v
+		ms[k] = v
 	}
 }
 
@@ -213,9 +189,6 @@ func MCMCSearch(m *model.Model, n, batchPerGPU int, eval Evaluator, cfg MCMCConf
 	if cfg.Iters <= 0 {
 		cfg.Iters = DefaultMCMCIters
 	}
-	if cfg.Temp <= 0 {
-		cfg.Temp = 0.05
-	}
 	k := cfg.Parallelism
 	if k <= 0 {
 		k = 1
@@ -227,7 +200,7 @@ func MCMCSearch(m *model.Model, n, batchPerGPU int, eval Evaluator, cfg MCMCConf
 	// Evaluate the two canonical starting points once, shared by every
 	// chain. (When the model has no shardable layers they coincide and
 	// the fingerprint dedupes the second evaluation.)
-	store := newMemoStore()
+	store := make(memoStore)
 	hybrid := parallel.Hybrid(m, n)
 	hybridCost := eval(hybrid)
 	store.put(hybrid.Fingerprint(), hybridCost)
@@ -294,7 +267,7 @@ func MCMCSearch(m *model.Model, n, batchPerGPU int, eval Evaluator, cfg MCMCConf
 		// exactly the historical hybrid-vs-DP selection).
 		c.cur, c.curCost = best.Clone(), bestCost
 		c.best, c.bestCost = c.cur.Clone(), c.curCost
-		c.t0 = cfg.Temp * c.curCost
+		c.t0 = mcmcTemp * c.curCost
 		chains[i] = c
 	}
 
@@ -411,7 +384,7 @@ func runChainEpochs(active []*mcmcChain, workers int, run func(*mcmcChain)) {
 // stopping early when its budget is exhausted or cfg.Ctx is cancelled.
 // The proposal/accept logic is exactly the original sequential search's,
 // so one chain with the whole budget reproduces it move for move.
-func (c *mcmcChain) runEpoch(n int, shardable []int, eval Evaluator, store *memoStore, cfg MCMCConfig) {
+func (c *mcmcChain) runEpoch(n int, shardable []int, eval Evaluator, store memoStore, cfg MCMCConfig) {
 	// memoEval consults the chain's epoch delta, then the shared store
 	// (read-only during the epoch), and only then pays for an evaluation.
 	memoEval := func(s parallel.Strategy) float64 {

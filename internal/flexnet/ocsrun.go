@@ -3,15 +3,20 @@ package flexnet
 import (
 	"fmt"
 
+	"topoopt/internal/collective"
 	"topoopt/internal/core"
 	"topoopt/internal/netsim"
 	"topoopt/internal/route"
 	"topoopt/internal/traffic"
 )
 
+// ocsMeasureInterval is the reconfigurable fabric's demand sampling
+// period in seconds (the paper uses 50 ms following SiP-ML).
+const ocsMeasureInterval = 0.050
+
 // OCSRunConfig parameterizes the OCS-reconfig architecture (§5.1): a
 // reconfigurable direct-connect fabric that re-optimizes circuits from
-// the instantaneous unsatisfied demand every MeasureInterval, paying
+// the instantaneous unsatisfied demand every 50 ms, paying
 // ReconfigLatency of dark time per reconfiguration (§5.7 sweeps this from
 // 1 µs to 10 ms).
 type OCSRunConfig struct {
@@ -19,9 +24,6 @@ type OCSRunConfig struct {
 	D               int
 	LinkBW          float64
 	ReconfigLatency float64
-	// MeasureInterval is the demand sampling period (the paper uses
-	// 50 ms following SiP-ML).
-	MeasureInterval float64
 	// HostForwarding enables multi-hop relaying over the instantaneous
 	// topology (OCS-reconfig-FW); without it only directly connected
 	// pairs make progress (OCS-reconfig-noFW / SiP-ML style).
@@ -34,12 +36,9 @@ type OCSRunConfig struct {
 
 // SimulateOCSIteration runs one training iteration (MP phase → compute →
 // AllReduce phase) on a reconfigurable fabric: each round reconfigures to
-// the residual demand, then transfers for up to MeasureInterval on the
-// frozen topology. Returns the iteration time.
+// the residual demand, then transfers for up to ocsMeasureInterval on
+// the frozen topology. Returns the iteration time.
 func SimulateOCSIteration(cfg OCSRunConfig, dem traffic.Demand, computeTime float64) (float64, error) {
-	if cfg.MeasureInterval <= 0 {
-		cfg.MeasureInterval = 0.050
-	}
 	mp := traffic.NewMatrix(cfg.N)
 	for s := range dem.MP {
 		for d, v := range dem.MP[s] {
@@ -48,13 +47,7 @@ func SimulateOCSIteration(cfg OCSRunConfig, dem traffic.Demand, computeTime floa
 	}
 	ar := traffic.NewMatrix(cfg.N)
 	for _, g := range dem.Groups {
-		if len(g.Members) < 2 {
-			continue
-		}
-		per := traffic.RingPerNodeBytes(g.Bytes, len(g.Members))
-		for i, m := range g.Members {
-			ar.Add(m, g.Members[(i+1)%len(g.Members)], per)
-		}
+		collective.Ring(ar, g.Members, 1, g.Bytes)
 	}
 	t1, err := drainOnReconfigurable(cfg, mp)
 	if err != nil {
@@ -126,7 +119,7 @@ func drainOnReconfigurable(cfg OCSRunConfig, demand traffic.Matrix) (float64, er
 		if !progressed {
 			return 0, fmt.Errorf("flexnet: reconfigurable fabric made no progress (demand %d bytes)", remaining.Total())
 		}
-		end := sim.Run(cfg.MeasureInterval)
+		end := sim.Run(ocsMeasureInterval)
 		elapsed += end
 		for k, fs := range flows {
 			left := 0.0

@@ -24,7 +24,7 @@ func ocsDemand(t *testing.T, n int) traffic.Demand {
 func TestOCSIterationCompletes(t *testing.T) {
 	dem := ocsDemand(t, 8)
 	cfg := OCSRunConfig{N: 8, D: 4, LinkBW: 100e9, ReconfigLatency: 10e-3,
-		MeasureInterval: 0.050, HostForwarding: true}
+		HostForwarding: true}
 	tm, err := SimulateOCSIteration(cfg, dem, 0.001)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestReconfigLatencyMonotone(t *testing.T) {
 	prev := 0.0
 	for _, lat := range []float64{1e-6, 100e-6, 1e-3, 10e-3} {
 		cfg := OCSRunConfig{N: 8, D: 4, LinkBW: 100e9, ReconfigLatency: lat,
-			MeasureInterval: 0.050, HostForwarding: true}
+			HostForwarding: true}
 		tm, err := SimulateOCSIteration(cfg, dem, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +57,7 @@ func TestOCSLowLatencyApproachesTopoOpt(t *testing.T) {
 	// ballpark as the one-shot TopoOpt fabric (§5.7).
 	dem := ocsDemand(t, 8)
 	cfg := OCSRunConfig{N: 8, D: 4, LinkBW: 100e9, ReconfigLatency: 1e-6,
-		MeasureInterval: 0.050, HostForwarding: false}
+		HostForwarding: false}
 	ocsTime, err := SimulateOCSIteration(cfg, dem, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestOCSNoFWBlockedWithoutCircuitsEventuallyProgresses(t *testing.T) {
 		}
 	}
 	cfg := OCSRunConfig{N: n, D: 1, LinkBW: 100e9, ReconfigLatency: 1e-5,
-		MeasureInterval: 0.001, HostForwarding: false}
+		HostForwarding: false}
 	tm, err := SimulateOCSIteration(cfg, dem, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestSiPMLVariantRuns(t *testing.T) {
 	// SiP-ML per Appendix F: unit discount, 25 µs reconfiguration, noFW.
 	dem := ocsDemand(t, 8)
 	cfg := OCSRunConfig{N: 8, D: 4, LinkBW: 100e9, ReconfigLatency: 25e-6,
-		MeasureInterval: 0.050, HostForwarding: false, Discount: core.UnitDiscount}
+		HostForwarding: false, Discount: core.UnitDiscount}
 	tm, err := SimulateOCSIteration(cfg, dem, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -174,22 +174,15 @@ func TestChainSeedDerivation(t *testing.T) {
 	}
 }
 
-// TestMemoStoreShardsCoverKeys sanity-checks the sharded memo store:
-// every inserted key is readable back and lands in exactly one shard.
+// TestMemoStoreShardsCoverKeys sanity-checks the memo store: every
+// inserted key is readable back.
 func TestMemoStoreShardsCoverKeys(t *testing.T) {
-	ms := newMemoStore()
+	ms := make(memoStore)
 	m := smallDLRM()
 	st := parallel.Hybrid(m, 8)
 	keys := []string{st.Fingerprint(), parallel.DataParallel(m, 8).Fingerprint(), "", "x"}
 	for i, k := range keys {
 		ms.put(k, float64(i))
-	}
-	total := 0
-	for _, shard := range ms.shards {
-		total += len(shard)
-	}
-	if total != len(keys) {
-		t.Fatalf("store holds %d entries, want %d", total, len(keys))
 	}
 	for i, k := range keys {
 		if v, ok := ms.get(k); !ok || v != float64(i) {

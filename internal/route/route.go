@@ -28,31 +28,23 @@ type CoinChange struct {
 }
 
 // NewCoinChange runs the modified coin-change dynamic program
-// (CoinChangeMod, Algorithm 4). If bidirectional is set, each physical
-// duplex ring link also admits the reverse hop, adding coin n-c for every
-// coin c; the paper's prototype forwards over duplex fibers so this is the
-// default in TopologyFinder. Returns an error if some distance is
-// unreachable (cannot happen when any coin is coprime with n, but guards
-// against degenerate inputs).
-func NewCoinChange(n int, coins []int, bidirectional bool) (*CoinChange, error) {
+// (CoinChangeMod, Algorithm 4). Rings are directed, so every coin is one
+// forward "+c" hop. Returns an error if some distance is unreachable
+// (cannot happen when any coin is coprime with n, but guards against
+// degenerate inputs).
+func NewCoinChange(n int, coins []int) (*CoinChange, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("route: cluster size %d too small", n)
 	}
 	set := make(map[int]bool)
 	var cs []int
-	add := func(c int) {
+	for _, c := range coins {
 		c = ((c % n) + n) % n
 		if c == 0 || set[c] {
-			return
+			continue
 		}
 		set[c] = true
 		cs = append(cs, c)
-	}
-	for _, c := range coins {
-		add(c)
-		if bidirectional {
-			add(n - c)
-		}
 	}
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("route: no usable coins for n=%d", n)

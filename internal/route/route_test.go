@@ -10,7 +10,7 @@ import (
 )
 
 func TestCoinChangeSingleRing(t *testing.T) {
-	cc, err := NewCoinChange(8, []int{1}, false)
+	cc, err := NewCoinChange(8, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,9 @@ func TestCoinChangeSingleRing(t *testing.T) {
 	}
 }
 
+// A duplex +1 ring forwards both ways: it is the coin pair {1, n-1}.
 func TestCoinChangeBidirectional(t *testing.T) {
-	cc, err := NewCoinChange(8, []int{1}, true)
+	cc, err := NewCoinChange(8, []int{1, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestCoinChangeBidirectional(t *testing.T) {
 
 func TestCoinChangePaperCoins(t *testing.T) {
 	// 16 servers with rings +1, +3, +7 (Figs 7–9).
-	cc, err := NewCoinChange(16, []int{1, 3, 7}, false)
+	cc, err := NewCoinChange(16, []int{1, 3, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestCoinChangeOptimality(t *testing.T) {
 		n := 4 + rng.Intn(40)
 		cands := perm.Coprimes(n)
 		coins := []int{cands[rng.Intn(len(cands))], cands[rng.Intn(len(cands))]}
-		cc, err := NewCoinChange(n, coins, false)
+		cc, err := NewCoinChange(n, coins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,14 +113,14 @@ func TestCoinChangeOptimality(t *testing.T) {
 }
 
 func TestCoinChangeErrors(t *testing.T) {
-	if _, err := NewCoinChange(1, []int{1}, false); err == nil {
+	if _, err := NewCoinChange(1, []int{1}); err == nil {
 		t.Error("expected error for n=1")
 	}
-	if _, err := NewCoinChange(8, nil, false); err == nil {
+	if _, err := NewCoinChange(8, nil); err == nil {
 		t.Error("expected error for no coins")
 	}
 	// Coins {2,4} cannot reach odd distances in Z_8.
-	if _, err := NewCoinChange(8, []int{2, 4}, false); err == nil {
+	if _, err := NewCoinChange(8, []int{2, 4}); err == nil {
 		t.Error("expected unreachable error for even coins in Z_8")
 	}
 }
@@ -129,7 +130,7 @@ func TestCoinChangeGeometricDiameterBound(t *testing.T) {
 	for _, n := range []int{16, 64, 128, 256} {
 		for _, d := range []int{2, 3, 4} {
 			coins := perm.SelectPermutations(n, d, perm.Coprimes(n))
-			cc, err := NewCoinChange(n, coins, false)
+			cc, err := NewCoinChange(n, coins)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +191,7 @@ func TestFillShortestPaths(t *testing.T) {
 func TestLinkLoadsAndBandwidthTax(t *testing.T) {
 	// 4-node +1 unidirectional ring: routing 0->2 takes 2 hops, so tax for a
 	// single 0->2 transfer is 2.
-	cc, err := NewCoinChange(4, []int{1}, false)
+	cc, err := NewCoinChange(4, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

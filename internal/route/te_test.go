@@ -255,7 +255,7 @@ func TestBalanceDeterministicOnTies(t *testing.T) {
 }
 
 // kShortestNodes returns up to k shortest s->d paths on g as node
-// sequences, the candidate shape core.TopologyFinder hands to Balance.
+// sequences, the candidate shape the §5.5 experiment hands to Balance.
 func kShortestNodes(g *graph.Graph, s, d, k int) [][]int {
 	var out [][]int
 	for _, p := range graph.NewSearcher(g).KShortestPaths(s, d, k, graph.UnitWeight) {

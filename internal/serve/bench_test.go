@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -161,11 +162,13 @@ func BenchmarkServePlanEncode(b *testing.B) {
 
 // BenchmarkServeOpenLoopSLO drives the open-loop SLO engine (the one
 // behind `planload -open-loop` and `make slo-smoke`) against an
-// in-process daemon: Poisson arrivals at a fixed offered rate over a
-// short window, requests cycling a small seed population so the load is
-// mostly cache hits with a cold miss per seed. The reported ns/op is
-// the run's overall p99 latency, which makes the serving tail an entry
-// in BENCH_serve.json the benchdiff ledger tracks across PRs.
+// in-process daemon: Poisson arrivals at a fixed offered rate over short
+// windows, requests cycling a small seed population so the load is
+// mostly cache hits with a cold miss per seed. Each op runs sloWindows
+// independent windows, arrival seeds 1..sloWindows, and the reported
+// ns/op is the median of their overall p99 latencies: the p99 of one
+// ~200-request window is a handful of samples, and one stall on a busy
+// host moved it past the benchdiff bound about half the time.
 func BenchmarkServeOpenLoopSLO(b *testing.B) {
 	plan := stubPlan(b)
 	s := New(Config{Workers: 4, QueueLen: 64, Optimize: func(ctx context.Context, m *topoopt.Model, o topoopt.Options) (*topoopt.Plan, error) {
@@ -185,28 +188,33 @@ func BenchmarkServeOpenLoopSLO(b *testing.B) {
 	}
 	client := ts.Client()
 
-	var p99 float64
+	fire := func(j int) slo.Result {
+		resp, err := client.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(bodies[j%seeds]))
+		if err != nil {
+			return slo.Result{Err: true}
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return slo.Result{Err: resp.StatusCode != http.StatusOK}
+	}
+	const sloWindows = 5
+	p99s := make([]float64, sloWindows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := slo.Run(slo.Config{
-			Rate: 500, Duration: 400 * time.Millisecond, Bucket: 100 * time.Millisecond, Seed: 1,
-			Fire: func(j int) slo.Result {
-				resp, err := client.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(bodies[j%seeds]))
-				if err != nil {
-					return slo.Result{Err: true}
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				return slo.Result{Err: resp.StatusCode != http.StatusOK}
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
+		for w := range p99s {
+			rep, err := slo.Run(slo.Config{
+				Rate: 500, Duration: 400 * time.Millisecond, Bucket: 100 * time.Millisecond,
+				Seed: int64(w + 1), Fire: fire,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Errors > 0 {
+				b.Fatalf("%d of %d open-loop requests failed", rep.Errors, rep.Requests)
+			}
+			p99s[w] = rep.Overall.P99Seconds
 		}
-		if rep.Errors > 0 {
-			b.Fatalf("%d of %d open-loop requests failed", rep.Errors, rep.Requests)
-		}
-		p99 = rep.Overall.P99Seconds
 	}
-	b.ReportMetric(p99*1e9, "ns/op")
+	slices.Sort(p99s)
+	b.ReportMetric(p99s[sloWindows/2]*1e9, "ns/op")
 }
