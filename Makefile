@@ -68,9 +68,11 @@ define newline
 
 
 endef
-# $(call suite_run,NAME): one benchmark pass over a suite, printed for a
-# pipe into benchdiff. $(call suite_json,NAME): its recording.
-suite_run = $(GO) test $(subst $(comma), ,$(word 1,$(SUITE.$1))) -run '^$$' -bench $(word 2,$(SUITE.$1)) -benchmem -benchtime=$(BENCHTIME)
+# $(call suite_run,NAME): five benchmark passes over a suite, printed for
+# a pipe into benchdiff, which folds each benchmark's five rows into their
+# median: one noisy 1 s run on a shared machine neither records nor fails
+# a gate. $(call suite_json,NAME): its recording.
+suite_run = $(GO) test $(subst $(comma), ,$(word 1,$(SUITE.$1))) -run '^$$' -bench $(word 2,$(SUITE.$1)) -benchmem -benchtime=$(BENCHTIME) -count=5
 suite_json = $(word 3,$(SUITE.$1))
 # $(call suite_import,NAME) copies a suite's recording into the ledger.
 suite_import = $(GO) run ./cmd/benchdiff -history BENCH_HISTORY.json -suite $1 -import $(call suite_json,$1) -label '$(HISTORY_LABEL)'

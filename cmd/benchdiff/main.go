@@ -288,7 +288,8 @@ func trendReport(w io.Writer, h History, suiteFilter string) error {
 }
 
 // parseBench extracts Result rows from `go test -bench -benchmem` output,
-// e.g. "BenchmarkFoo-8   123   4567 ns/op   89 B/op   10 allocs/op".
+// e.g. "BenchmarkFoo-8   123   4567 ns/op   89 B/op   10 allocs/op", and
+// folds the rows of a -count=N run into one median row per benchmark.
 func parseBench(r io.Reader) ([]Result, error) {
 	var out []Result
 	sc := bufio.NewScanner(r)
@@ -318,7 +319,48 @@ func parseBench(r io.Reader) ([]Result, error) {
 			out = append(out, res)
 		}
 	}
-	return out, sc.Err()
+	return foldMedians(out), sc.Err()
+}
+
+// foldMedians folds rows that share a name into one row holding the
+// median ns/op, B/op and allocs/op, each taken on its own, so one noisy
+// run of several neither records nor fails a gate. Names keep the order
+// of their first row.
+func foldMedians(rows []Result) []Result {
+	var names []string
+	byName := make(map[string][]Result)
+	for _, r := range rows {
+		if _, ok := byName[r.Name]; !ok {
+			names = append(names, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(names))
+	for _, name := range names {
+		rs := byName[name]
+		out = append(out, Result{
+			Name:        name,
+			NsPerOp:     median(rs, func(r Result) float64 { return r.NsPerOp }),
+			BytesPerOp:  int64(median(rs, func(r Result) float64 { return float64(r.BytesPerOp) })),
+			AllocsPerOp: int64(median(rs, func(r Result) float64 { return float64(r.AllocsPerOp) })),
+		})
+	}
+	return out
+}
+
+// median returns the median of one field over rs; an even count takes
+// the mean of the middle two.
+func median(rs []Result, field func(Result) float64) float64 {
+	vs := make([]float64, len(rs))
+	for i, r := range rs {
+		vs[i] = field(r)
+	}
+	sort.Float64s(vs)
+	m := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[m]
+	}
+	return (vs[m-1] + vs[m]) / 2
 }
 
 // cpuSuffix returns the "-N" GOMAXPROCS suffix of a benchmark name, if

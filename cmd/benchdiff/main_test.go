@@ -35,6 +35,36 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchFoldsMedians: the rows of a -count=5 run fold into one
+// row per benchmark holding each metric's median, so a single slow run
+// moves nothing.
+func TestParseBenchFoldsMedians(t *testing.T) {
+	out := `BenchmarkA-2   10   900 ns/op   64 B/op   3 allocs/op
+BenchmarkB-2   10   50 ns/op   0 B/op   0 allocs/op
+BenchmarkA-2   10   5000 ns/op   64 B/op   3 allocs/op
+BenchmarkA-2   10   1000 ns/op   80 B/op   4 allocs/op
+BenchmarkA-2   10   1100 ns/op   64 B/op   3 allocs/op
+BenchmarkA-2   10   950 ns/op   96 B/op   5 allocs/op
+BenchmarkB-2   10   70 ns/op   0 B/op   0 allocs/op
+`
+	results, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{
+		{Name: "BenchmarkA", NsPerOp: 1000, BytesPerOp: 64, AllocsPerOp: 3},
+		{Name: "BenchmarkB", NsPerOp: 60, BytesPerOp: 0, AllocsPerOp: 0},
+	}
+	if len(results) != len(want) {
+		t.Fatalf("parsed %+v, want %+v", results, want)
+	}
+	for i := range want {
+		if results[i] != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, results[i], want[i])
+		}
+	}
+}
+
 func writeBenchFile(t *testing.T, f File) string {
 	t.Helper()
 	data, err := json.Marshal(f)

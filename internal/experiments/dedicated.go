@@ -336,10 +336,13 @@ func Fig15LinkTrafficCDF(p Params) string {
 			if err != nil {
 				return b.String() + "error: " + err.Error()
 			}
-			loads := tf.Routes.LinkLoads(dem.MP)
+			loads := make([]int64, p.Scale*p.Scale)
+			tf.Routes.LinkLoads(dem.MP, loads)
 			var mb []float64
 			for _, v := range loads {
-				mb = append(mb, float64(v)/1e6)
+				if v != 0 { // links the all-to-all never crosses are not plotted
+					mb = append(mb, float64(v)/1e6)
+				}
 			}
 			sort.Float64s(mb)
 			imb := 0.0

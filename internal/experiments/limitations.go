@@ -180,17 +180,20 @@ func ExtRoutingTE(p Params) string {
 		if err != nil {
 			return b.String() + "error: " + err.Error()
 		}
-		// Single-path baseline.
-		loads := tf.Routes.LinkLoads(dem.MP)
+		// Single-path baseline, over the links the traffic crosses.
+		loads := make([]int64, n*n)
+		tf.Routes.LinkLoads(dem.MP, loads)
 		var singleMax int64
 		var sum float64
+		links := 0
 		for _, v := range loads {
-			if v > singleMax {
-				singleMax = v
+			if v != 0 {
+				singleMax = max(singleMax, v)
+				sum += float64(v)
+				links++
 			}
-			sum += float64(v)
 		}
-		singleMean := sum / float64(len(loads))
+		singleMean := sum / float64(links)
 		// TE over each MP pair's three shortest paths.
 		g := tf.Network.G
 		sr := graph.NewSearcher(g)

@@ -52,12 +52,12 @@ type DeltaEval struct {
 	inc       parallel.Strategy
 	refs      []int // per-server count of layer groups containing it
 	consumers []int // incumbent Servers(), ascending
-	mpLoads   map[[2]int]int64
-	arLoads   map[[2]int]int64
-	groups    map[string]*arGroup
+	// Per-phase link loads in the routing table's layout (index from*n+to).
+	mpLoads []int64
+	arLoads []int64
+	groups  map[string]*arGroup
 
-	caps    map[[2]int]float64 // pairCapacity cache (immutable per fabric)
-	changed []int              // scratch: indices of layers that differ
+	changed []int // scratch: indices of layers that differ
 	arDelta map[string]*arPatch
 }
 
@@ -94,7 +94,8 @@ func NewDeltaEval(m *model.Model, fab *Fabric, batch int, gpu model.GPU) *DeltaE
 		fab:     fab,
 		batch:   batch,
 		gpu:     gpu,
-		caps:    make(map[[2]int]float64),
+		mpLoads: make([]int64, len(fab.caps)),
+		arLoads: make([]int64, len(fab.caps)),
 		arDelta: make(map[string]*arPatch),
 	}
 }
@@ -176,8 +177,10 @@ func (de *DeltaEval) rebuild(s parallel.Strategy) float64 {
 		de.ok = false
 		return inf
 	}
-	de.mpLoads = pruneZero(de.fab.Routes.LinkLoads(de.fab.MPMatrix(dem)))
-	de.arLoads = pruneZero(de.fab.Routes.LinkLoads(de.fab.AllReduceMatrix(dem)))
+	clear(de.mpLoads)
+	de.fab.Routes.LinkLoads(de.fab.MPMatrix(dem), de.mpLoads)
+	clear(de.arLoads)
+	de.fab.Routes.LinkLoads(de.fab.AllReduceMatrix(dem), de.arLoads)
 	de.groups = make(map[string]*arGroup, len(dem.Groups))
 	for _, g := range dem.Groups {
 		de.groups[memberKey(g.Members)] = &arGroup{members: g.Members, bytes: g.Bytes}
@@ -202,32 +205,7 @@ func (de *DeltaEval) rebuild(s parallel.Strategy) float64 {
 // score computes phase(MP) + compute + phase(AR) exactly like
 // EstimateIteration, in the same order, from the maintained link loads.
 func (de *DeltaEval) score(s parallel.Strategy) float64 {
-	return de.phase(de.mpLoads) + s.MaxComputeTime(de.m, de.gpu, de.batch) + de.phase(de.arLoads)
-}
-
-// phase mirrors phaseEstimate over a maintained load map. Zero-valued
-// entries are pruned on update, so emptiness and the max coincide with
-// the from-scratch map.
-func (de *DeltaEval) phase(loads map[[2]int]int64) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	worst := 0.0
-	for pair, bytes := range loads {
-		cap, ok := de.caps[pair]
-		if !ok {
-			cap = de.fab.pairCapacity(pair[0], pair[1])
-			de.caps[pair] = cap
-		}
-		if cap <= 0 {
-			return inf
-		}
-		t := float64(bytes) * 8 / cap
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
+	return de.fab.phaseTime(de.mpLoads) + s.MaxComputeTime(de.m, de.gpu, de.batch) + de.fab.phaseTime(de.arLoads)
 }
 
 // chargeMP adds (sign=+1) or removes (sign=-1) one sharded layer's MP
@@ -246,8 +224,8 @@ func (de *DeltaEval) chargeMP(li int, ls parallel.LayerStrategy, sign int64) {
 			if c == h {
 				continue
 			}
-			de.charge(de.mpLoads, h, c, sign*per) // forward activations
-			de.charge(de.mpLoads, c, h, sign*per) // backward gradients
+			de.fab.Routes.AddLoad(de.mpLoads, h, c, sign*per) // forward activations
+			de.fab.Routes.AddLoad(de.mpLoads, c, h, sign*per) // backward gradients
 		}
 	}
 }
@@ -317,29 +295,7 @@ func (de *DeltaEval) chargeGroup(members []int, bytes int64, sign int64) {
 			continue
 		}
 		for j := 0; j < k; j++ {
-			de.charge(de.arLoads, members[j], members[(j+p)%k], sign*per)
-		}
-	}
-}
-
-// charge walks the installed route for (a, b) and applies delta to every
-// traversed link, pruning entries that return to zero so the map stays
-// equal (as a set) to a from-scratch LinkLoads result.
-func (de *DeltaEval) charge(loads map[[2]int]int64, a, b int, delta int64) {
-	if a == b || delta == 0 {
-		return
-	}
-	nodes := de.fab.Routes.Get(a, b)
-	if nodes == nil {
-		return // unrouted pairs are skipped by LinkLoads too
-	}
-	for i := 0; i+1 < len(nodes); i++ {
-		link := [2]int{nodes[i], nodes[i+1]}
-		v := loads[link] + delta
-		if v == 0 {
-			delete(loads, link)
-		} else {
-			loads[link] = v
+			de.fab.Routes.AddLoad(de.arLoads, members[j], members[(j+p)%k], sign*per)
 		}
 	}
 }
@@ -399,16 +355,4 @@ func insertionSort(a []int) {
 			a[j-1], a[j] = a[j], a[j-1]
 		}
 	}
-}
-
-// pruneZero drops zero-valued entries so maintained maps start equal (as
-// key sets) to what LinkLoads would produce later. LinkLoads never emits
-// zeros today; this guards the invariant, not a live case.
-func pruneZero(loads map[[2]int]int64) map[[2]int]int64 {
-	for k, v := range loads {
-		if v == 0 {
-			delete(loads, k)
-		}
-	}
-	return loads
 }

@@ -7,6 +7,7 @@ import (
 	"topoopt/internal/core"
 	"topoopt/internal/model"
 	"topoopt/internal/parallel"
+	"topoopt/internal/route"
 	"topoopt/internal/topo"
 	"topoopt/internal/traffic"
 )
@@ -46,9 +47,23 @@ func topoOptFabric(t *testing.T, m *model.Model, n, degree int) *Fabric {
 func TestDeltaEvalGoldenIdentity(t *testing.T) {
 	m := model.DLRMPreset(model.Sec6)
 	n := 12
+	expander, err := topo.Expander(n, 4, 25e9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims, err := topo.TorusDims(n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torusRoutes := route.NewTable(n)
+	route.Torus{Dims: dims}.FillTable(torusRoutes)
 	fabrics := map[string]*Fabric{
 		"ideal-switch": NewSwitchFabric(topo.IdealSwitch(n, 400e9)),
 		"fat-tree":     NewSwitchFabric(topo.FatTree(n, 25e9)),
+		"oversub":      NewSwitchFabric(topo.OversubFatTree(n, 4, 100e9)),
+		"expander":     NewSwitchFabric(expander),
+		"torus":        NewRoutedFabric(topo.Torus(dims, 25e9), torusRoutes),
+		"sip-ring":     NewSwitchFabric(topo.PhysicalRing(n, 4, 25e9)),
 		"topoopt":      topoOptFabric(t, m, n, 4),
 	}
 	shardable := m.ShardableLayers()

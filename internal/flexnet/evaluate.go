@@ -66,38 +66,28 @@ func SimulateIteration(f *Fabric, dem traffic.Demand, computeTime float64) (Iter
 // phase's duration is the most-loaded node-pair's bytes divided by the
 // aggregate capacity between that pair, the standard max-link-load bound.
 func EstimateIteration(f *Fabric, dem traffic.Demand, computeTime float64) float64 {
-	return phaseEstimate(f, f.MPMatrix(dem)) + computeTime + phaseEstimate(f, f.AllReduceMatrix(dem))
+	loads := make([]int64, len(f.caps))
+	f.Routes.LinkLoads(f.MPMatrix(dem), loads)
+	mp := f.phaseTime(loads)
+	clear(loads)
+	f.Routes.LinkLoads(f.AllReduceMatrix(dem), loads)
+	return mp + computeTime + f.phaseTime(loads)
 }
 
-func phaseEstimate(f *Fabric, tm traffic.Matrix) float64 {
-	loads := f.Routes.LinkLoads(tm)
-	if len(loads) == 0 {
-		return 0
-	}
+// phaseTime is one phase's max-link time: the most any loaded node pair
+// takes to carry its bytes, infinite if that pair has no link.
+func (f *Fabric) phaseTime(loads []int64) float64 {
 	worst := 0.0
-	for pair, bytes := range loads {
-		cap := f.pairCapacity(pair[0], pair[1])
-		if cap <= 0 {
+	for i, bytes := range loads {
+		if bytes == 0 {
+			continue
+		}
+		if f.caps[i] <= 0 {
 			return inf
 		}
-		t := float64(bytes) * 8 / cap
-		if t > worst {
-			worst = t
-		}
+		worst = max(worst, float64(bytes)*8/f.caps[i])
 	}
 	return worst
 }
 
 const inf = 1e30
-
-// pairCapacity is the aggregate bandwidth of parallel links from a to b.
-func (f *Fabric) pairCapacity(a, b int) float64 {
-	total := 0.0
-	for _, id := range f.Net.G.Out(a) {
-		e := f.Net.G.Edge(id)
-		if e.To == b {
-			total += e.Cap
-		}
-	}
-	return total
-}

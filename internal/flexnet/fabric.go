@@ -34,6 +34,9 @@ type Fabric struct {
 	// negative selects the default 1 µs.
 	LinkLatency float64
 
+	// caps[from*n+to] is the summed capacity of the pair's parallel links.
+	caps []float64
+
 	// simPool recycles simulators across evaluations so MCMC iterations
 	// and sweep points stop re-allocating one per call. A pool (rather
 	// than a single cached instance) lets concurrent users — parallel
@@ -67,7 +70,7 @@ func (f *Fabric) ReleaseSim(s *netsim.Sim) {
 func NewSwitchFabric(nw *topo.Network) *Fabric {
 	t := route.NewTable(nw.G.N())
 	t.FillShortestPaths(nw.G)
-	return &Fabric{Net: nw, Routes: t, LinkLatency: -1}
+	return newFabric(nw, t, nil)
 }
 
 // NewRoutedFabric prepares a network with a caller-supplied routing
@@ -77,12 +80,24 @@ func NewSwitchFabric(nw *topo.Network) *Fabric {
 // tables stay reachable.
 func NewRoutedFabric(nw *topo.Network, t *route.Table) *Fabric {
 	t.FillShortestPaths(nw.G)
-	return &Fabric{Net: nw, Routes: t, LinkLatency: -1}
+	return newFabric(nw, t, nil)
 }
 
 // NewTopoOptFabric wraps a TopologyFinder result.
 func NewTopoOptFabric(res *core.Result) *Fabric {
-	return &Fabric{Net: res.Network, Routes: res.Routes, Rings: res.Rings, LinkLatency: -1}
+	return newFabric(res.Network, res.Routes, res.Rings)
+}
+
+// newFabric assembles a fabric and its per-pair capacity table. Edges are
+// summed in ID order, which is each node's Out order.
+func newFabric(nw *topo.Network, t *route.Table, rings []core.GroupRings) *Fabric {
+	n := nw.G.N()
+	caps := make([]float64, n*n)
+	for id := 0; id < nw.G.M(); id++ {
+		e := nw.G.Edge(id)
+		caps[e.From*n+e.To] += e.Cap
+	}
+	return &Fabric{Net: nw, Routes: t, Rings: rings, LinkLatency: -1, caps: caps}
 }
 
 // allReduceMatrix renders the demand's AllReduce groups into a concrete
@@ -106,21 +121,31 @@ func (f *Fabric) ringsFor(members []int) []int {
 	return []int{1}
 }
 
+// sameMembers reports whether two member lists are equal as multisets,
+// without allocating. Only values of b that a lacks at the same position
+// are counted: if the lists differ, a value more frequent in b than in a
+// sits at such a position.
 func sameMembers(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	seen := make(map[int]int, len(a))
-	for _, v := range a {
-		seen[v]++
-	}
-	for _, v := range b {
-		seen[v]--
-		if seen[v] < 0 {
+	for i, v := range b {
+		if a[i] != v && count(a, v) != count(b, v) {
 			return false
 		}
 	}
 	return true
+}
+
+// count returns how many times v occurs in s.
+func count(s []int, v int) int {
+	c := 0
+	for _, x := range s {
+		if x == v {
+			c++
+		}
+	}
+	return c
 }
 
 // mpMatrix widens the demand's MP matrix to the fabric's node count

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"topoopt/internal/core"
+	"topoopt/internal/graph"
 	"topoopt/internal/model"
 	"topoopt/internal/parallel"
+	"topoopt/internal/route"
 	"topoopt/internal/topo"
 	"topoopt/internal/traffic"
 )
@@ -243,5 +245,75 @@ func TestSameMembers(t *testing.T) {
 	}
 	if sameMembers([]int{1, 1, 2}, []int{1, 2, 2}) {
 		t.Error("multiset mismatch should not match")
+	}
+}
+
+// TestRingsForMatchesPermutedMembers: an AllReduce group finds its
+// TopologyFinder rings whatever the order of its members, and the lookup
+// allocates nothing.
+func TestRingsForMatchesPermutedMembers(t *testing.T) {
+	f := &Fabric{Rings: []core.GroupRings{
+		{Members: []int{0, 2, 4}, Ps: []int{1}},
+		{Members: []int{0, 2, 4, 6}, Ps: []int{1, 3}},
+	}}
+	perm := []int{4, 0, 6, 2}
+	if ps := f.ringsFor(perm); len(ps) != 2 || ps[1] != 3 {
+		t.Fatalf("rings for %v = %v, want [1 3]", perm, ps)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.ringsFor(perm) }); allocs != 0 {
+		t.Errorf("ringsFor allocates %v objects per call", allocs)
+	}
+}
+
+// ringFabric is an n-server duplex ring whose every neighbor pair is
+// joined by one parallel link per capacity in caps.
+func ringFabric(n int, caps ...float64) *Fabric {
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		for _, c := range caps {
+			g.AddDuplex(v, (v+1)%n, c)
+		}
+	}
+	return NewSwitchFabric(&topo.Network{G: g, Hosts: n, ForwardingHosts: true})
+}
+
+// bothEvaluators scores s on a fabric with the full analytic evaluator
+// and with a fresh DeltaEval.
+func bothEvaluators(m *model.Model, s parallel.Strategy) map[string]func(*Fabric) float64 {
+	return map[string]func(*Fabric) float64{
+		"full":  func(f *Fabric) float64 { return fullEval(f, m, m.BatchPerGPU, model.A100)(s) },
+		"delta": func(f *Fabric) float64 { return NewDeltaEval(m, f, m.BatchPerGPU, model.A100).Eval(s) },
+	}
+}
+
+// TestPhaseTimeSumsParallelLinks: parallel links of unequal capacity
+// between one node pair carry a phase together, in both evaluators.
+func TestPhaseTimeSumsParallelLinks(t *testing.T) {
+	m := model.DLRMPreset(model.Sec6)
+	n := 12
+	for name, eval := range bothEvaluators(m, parallel.Hybrid(m, n)) {
+		split, whole := eval(ringFabric(n, 10e9, 30e9)), eval(ringFabric(n, 40e9))
+		if split != whole {
+			t.Errorf("%s: 10+30 Gbps links give %v, one 40 Gbps link %v", name, split, whole)
+		}
+		if thin := eval(ringFabric(n, 30e9)); thin <= whole {
+			t.Errorf("%s: the 30 Gbps link alone gives %v, not slower than %v", name, thin, whole)
+		}
+	}
+}
+
+// TestUnlinkedRouteIsInfinite: a route across a node pair with no link
+// makes the iteration infinite in both evaluators.
+func TestUnlinkedRouteIsInfinite(t *testing.T) {
+	m := model.DLRMPreset(model.Sec6)
+	n := 12
+	nw := topo.IdealSwitch(n, 100e9)
+	tab := route.NewTable(nw.G.N())
+	tab.Set(0, 1, []int{0, 1}) // servers meet only through the switch
+	fab := NewRoutedFabric(nw, tab)
+	for name, eval := range bothEvaluators(m, parallel.DataParallel(m, n)) {
+		if got := eval(fab); got < inf {
+			t.Errorf("%s: iteration over an unlinked route = %v, want >= %v", name, got, inf)
+		}
 	}
 }

@@ -125,17 +125,18 @@ func (cc *CoinChange) MaxHops() int {
 	return max
 }
 
-// Table maps src -> dst -> node path (inclusive of both endpoints). A nil
-// entry means "no route computed"; same-node entries are single-element
-// paths.
+// Table holds one node path (inclusive of both endpoints) per ordered
+// node pair, at index src*n+dst: the one layout routes and link loads
+// share. A nil entry means "no route computed"; same-node lookups return
+// single-element paths.
 type Table struct {
 	n     int
-	paths map[int]map[int][]int
+	paths [][]int
 }
 
 // NewTable returns an empty routing table for n nodes.
 func NewTable(n int) *Table {
-	return &Table{n: n, paths: make(map[int]map[int][]int)}
+	return &Table{n: n, paths: make([][]int, n*n)}
 }
 
 // Set installs the node path for (src, dst). The path must start at src
@@ -144,12 +145,7 @@ func (t *Table) Set(src, dst int, nodes []int) {
 	if len(nodes) == 0 || nodes[0] != src || nodes[len(nodes)-1] != dst {
 		panic(fmt.Sprintf("route: invalid path %v for %d->%d", nodes, src, dst))
 	}
-	m := t.paths[src]
-	if m == nil {
-		m = make(map[int][]int)
-		t.paths[src] = m
-	}
-	m[dst] = nodes
+	t.paths[src*t.n+dst] = nodes
 }
 
 // Get returns the installed node path for (src, dst), or nil.
@@ -157,10 +153,7 @@ func (t *Table) Get(src, dst int) []int {
 	if src == dst {
 		return []int{src}
 	}
-	if m := t.paths[src]; m != nil {
-		return m[dst]
-	}
-	return nil
+	return t.paths[src*t.n+dst]
 }
 
 // N returns the node count the table was built for.
@@ -169,57 +162,65 @@ func (t *Table) N() int { return t.n }
 // PairCount returns the number of (src,dst) pairs with installed routes.
 func (t *Table) PairCount() int {
 	c := 0
-	for _, m := range t.paths {
-		c += len(m)
+	for _, p := range t.paths {
+		if p != nil {
+			c++
+		}
 	}
 	return c
 }
 
 // FillShortestPaths installs minimum-hop routes on g for every ordered pair
-// not already present. Used for MP transfers on the combined topology.
+// not already present, each source's in one array filled from BFS parents.
 func (t *Table) FillShortestPaths(g *graph.Graph) {
 	for s := 0; s < t.n; s++ {
 		dist, parent := g.BFS(s)
-		for d := 0; d < t.n; d++ {
-			if s == d || t.Get(s, d) != nil || dist[d] < 0 {
+		row := t.paths[s*t.n : (s+1)*t.n]
+		size := 0 // dist is 0 at s and -1 where unreachable
+		for d, p := range row {
+			if p == nil && dist[d] > 0 {
+				size += dist[d] + 1
+			}
+		}
+		buf := make([]int, size)
+		for d := range row {
+			if row[d] != nil || dist[d] <= 0 {
 				continue
 			}
-			var rev []int
-			for v := d; v != s; {
-				rev = append(rev, v)
+			hops := dist[d]
+			nodes := buf[: hops+1 : hops+1]
+			buf = buf[hops+1:]
+			for v, i := d, hops; i > 0; i-- {
+				nodes[i] = v
 				v = g.Edge(parent[v]).From
 			}
-			nodes := make([]int, 0, len(rev)+1)
-			nodes = append(nodes, s)
-			for i := len(rev) - 1; i >= 0; i-- {
-				nodes = append(nodes, rev[i])
-			}
-			t.Set(s, d, nodes)
+			nodes[0] = s
+			row[d] = nodes
 		}
 	}
 }
 
 // LinkLoads routes the traffic matrix tm (bytes, tm[s][d]) over the table
-// and accumulates per-directed-link byte loads, keyed by [2]int{from,to}.
+// and adds each directed link's bytes into loads[from*n+to] (len n*n).
 // Multi-hop routes charge every traversed link — this is exactly the
 // "bandwidth tax" of host-based forwarding (§5.4).
-func (t *Table) LinkLoads(tm [][]int64) map[[2]int]int64 {
-	loads := make(map[[2]int]int64)
+func (t *Table) LinkLoads(tm [][]int64, loads []int64) {
 	for s := range tm {
 		for d, bytes := range tm[s] {
-			if bytes == 0 || s == d {
-				continue
-			}
-			nodes := t.Get(s, d)
-			if nodes == nil {
-				continue
-			}
-			for i := 0; i+1 < len(nodes); i++ {
-				loads[[2]int{nodes[i], nodes[i+1]}] += bytes
+			if bytes != 0 {
+				t.AddLoad(loads, s, d, bytes)
 			}
 		}
 	}
-	return loads
+}
+
+// AddLoad adds bytes to loads[from*n+to] for every link of the installed
+// route for (src, dst); an unrouted pair, or src == dst, adds nothing.
+func (t *Table) AddLoad(loads []int64, src, dst int, bytes int64) {
+	nodes := t.paths[src*t.n+dst]
+	for i := 0; i+1 < len(nodes); i++ {
+		loads[nodes[i]*t.n+nodes[i+1]] += bytes
+	}
 }
 
 // BandwidthTax returns the ratio of routed traffic volume (including

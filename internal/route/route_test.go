@@ -203,9 +203,21 @@ func TestLinkLoadsAndBandwidthTax(t *testing.T) {
 		tm[i] = make([]int64, 4)
 	}
 	tm[0][2] = 1000
-	loads := tab.LinkLoads(tm)
-	if loads[[2]int{0, 1}] != 1000 || loads[[2]int{1, 2}] != 1000 {
-		t.Errorf("loads = %v", loads)
+	loads := make([]int64, 16)
+	tab.LinkLoads(tm, loads)
+	for i, v := range loads {
+		want := int64(0)
+		if i == 0*4+1 || i == 1*4+2 {
+			want = 1000
+		}
+		if v != want {
+			t.Errorf("load of link %d->%d = %d, want %d", i/4, i%4, v, want)
+		}
+	}
+	// Loads add into the caller's slice.
+	tab.LinkLoads(tm, loads)
+	if loads[0*4+1] != 2000 {
+		t.Errorf("second LinkLoads left link 0->1 at %d, want 2000", loads[0*4+1])
 	}
 	if tax := tab.BandwidthTax(tm); tax != 2 {
 		t.Errorf("tax = %v, want 2", tax)

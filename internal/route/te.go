@@ -1,9 +1,6 @@
 package route
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Traffic engineering for host-forwarded MP transfers (§5.5). The paper
 // observes that single-path routing leaves the per-link load imbalanced
@@ -113,7 +110,8 @@ type TEResult struct {
 
 // Balance spreads the demand matrix over the candidate paths to minimize
 // the maximum per-link load. candidates[pair] must contain at least one
-// path per demanded pair; iterations bounds the refinement loop.
+// path per demanded pair, over nodes below len(tm); iterations bounds the
+// refinement loop.
 func Balance(tm [][]int64, candidates map[[2]int][][]int, iterations int) (*TEResult, error) {
 	if iterations <= 0 {
 		iterations = 100
@@ -124,7 +122,7 @@ func Balance(tm [][]int64, candidates map[[2]int][][]int, iterations int) (*TERe
 		paths [][]int
 		frac  []float64
 	}
-	var flows []*flowState
+	var flows []*flowState // in (src, dst) order, the order moves try them
 	for s := range tm {
 		for d, bytes := range tm[s] {
 			if bytes == 0 || s == d {
@@ -142,29 +140,25 @@ func Balance(tm [][]int64, candidates map[[2]int][][]int, iterations int) (*TERe
 			})
 		}
 	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].pair[0] != flows[j].pair[0] {
-			return flows[i].pair[0] < flows[j].pair[0]
-		}
-		return flows[i].pair[1] < flows[j].pair[1]
-	})
-	linkLoad := func() map[[2]int]float64 {
-		loads := make(map[[2]int]float64)
+	// Link loads in the routing table's layout: link from->to at from*n+to.
+	n := len(tm)
+	loads := make([]float64, n*n)
+	linkLoad := func() {
+		clear(loads)
 		for _, f := range flows {
 			for pi, p := range f.paths {
 				if f.frac[pi] == 0 {
 					continue
 				}
 				for i := 0; i+1 < len(p); i++ {
-					loads[[2]int{p[i], p[i+1]}] += f.bytes * f.frac[pi]
+					loads[p[i]*n+p[i+1]] += f.bytes * f.frac[pi]
 				}
 			}
 		}
-		return loads
 	}
-	pathUses := func(p []int, link [2]int) bool {
+	pathUses := func(p []int, link int) bool {
 		for i := 0; i+1 < len(p); i++ {
-			if p[i] == link[0] && p[i+1] == link[1] {
+			if p[i]*n+p[i+1] == link {
 				return true
 			}
 		}
@@ -172,12 +166,11 @@ func Balance(tm [][]int64, candidates map[[2]int][][]int, iterations int) (*TERe
 	}
 	const step = 0.1
 	for it := 0; it < iterations; it++ {
-		loads := linkLoad()
-		// Most-loaded link.
-		var hot [2]int
-		hotLoad := -1.0
+		linkLoad()
+		// Most-loaded link; the lowest index, the smallest (from, to), wins.
+		hot, hotLoad := 0, -1.0
 		for l, v := range loads {
-			if v > hotLoad || (v == hotLoad && (l[0] < hot[0] || (l[0] == hot[0] && l[1] < hot[1]))) {
+			if v > hotLoad {
 				hot, hotLoad = l, v
 			}
 		}
@@ -210,7 +203,7 @@ func Balance(tm [][]int64, candidates map[[2]int][][]int, iterations int) (*TERe
 				}
 				worst := 0.0
 				for i := 0; i+1 < len(p); i++ {
-					if v := loads[[2]int{p[i], p[i+1]}]; v > worst {
+					if v := loads[p[i]*n+p[i+1]]; v > worst {
 						worst = v
 					}
 				}
@@ -240,7 +233,7 @@ func Balance(tm [][]int64, candidates map[[2]int][][]int, iterations int) (*TERe
 	}
 	res := &TEResult{Splits: make(map[[2]int]Split)}
 	var totalBytes, byteHops float64
-	loads := linkLoad()
+	linkLoad()
 	for _, f := range flows {
 		res.Splits[f.pair] = Split{Paths: f.paths, Fractions: append([]float64(nil), f.frac...)}
 		totalBytes += f.bytes
@@ -249,14 +242,16 @@ func Balance(tm [][]int64, candidates map[[2]int][][]int, iterations int) (*TERe
 		}
 	}
 	var sum float64
+	links := 0
 	for _, v := range loads {
-		if int64(v) > res.MaxLinkLoad {
-			res.MaxLinkLoad = int64(v)
+		if v > 0 {
+			res.MaxLinkLoad = max(res.MaxLinkLoad, int64(v))
+			sum += v
+			links++
 		}
-		sum += v
 	}
-	if len(loads) > 0 {
-		res.MeanLinkLoad = sum / float64(len(loads))
+	if links > 0 {
+		res.MeanLinkLoad = sum / float64(links)
 	}
 	if totalBytes > 0 {
 		res.Alpha = byteHops / totalBytes

@@ -102,7 +102,8 @@ func TestBalanceImprovesImbalanceOnRealTopology(t *testing.T) {
 			cands[[2]int{s, d}] = kShortestNodes(g, s, d, 3)
 		}
 	}
-	single := tab.LinkLoads(tm)
+	single := make([]int64, 8*8)
+	tab.LinkLoads(tm, single)
 	var singleMax int64
 	for _, v := range single {
 		if v > singleMax {

@@ -113,17 +113,23 @@ func (s *Service) writeResult(w http.ResponseWriter, tr *telemetry.Trace, fp str
 	// The header renders before the body is written (headers must precede
 	// WriteHeader), so its encode figure is ~0; the full write time still
 	// lands in the published /debug/requests record and stage quantiles.
+	w.Header().Set("X-Trace", string(tr.AppendHeader(nil)))
+	writeSpliced(w, head, body)
+	tr.Finish(fp, cached, http.StatusOK)
+	return true
+}
+
+// writeSpliced writes a 200 whose JSON body is head, a result's canonical
+// bytes and resultTail. The length is known up front, so the body goes
+// out unchunked.
+func writeSpliced(w http.ResponseWriter, head, body []byte) {
 	h := w.Header()
-	h.Set("X-Trace", string(tr.AppendHeader(nil)))
 	h.Set("Content-Type", "application/json")
-	// The length is known up front, so the body goes out unchunked.
 	h.Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(resultTail)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(head)
 	w.Write(body)
 	w.Write(resultTail)
-	tr.Finish(fp, cached, http.StatusOK)
-	return true
 }
 
 // retrySeconds converts a wait estimate to a Retry-After value: at
@@ -377,29 +383,11 @@ func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompareRequest
-	if aerr := decodeJSONBytes(body, &req); aerr != nil {
-		tr.Finish("", false, aerr.Status)
-		writeError(w, aerr)
-		return
-	}
-	m, aerr := validatePlanFields(req.Model, req.Options)
+	m, archs, aerr := decodeCompareBytes(body, &req)
 	if aerr != nil {
 		tr.Finish("", false, aerr.Status)
 		writeError(w, aerr)
 		return
-	}
-	// Validate every name against the backend registry up front: the 400
-	// carries the registered menu, and nothing unvalidated reaches the
-	// worker pool (where it would surface as an opaque 500).
-	archs := make([]topoopt.Architecture, 0, len(req.Archs))
-	for _, a := range req.Archs {
-		pa, err := topoopt.ParseArchitecture(a)
-		if err != nil {
-			tr.Finish("", false, http.StatusBadRequest)
-			writeError(w, unknownArch(err))
-			return
-		}
-		archs = append(archs, pa)
 	}
 	ctx, cancel, aerr := s.requestContext(r)
 	if aerr != nil {
@@ -425,6 +413,29 @@ func (s *Service) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeResult(w, tr, fp, cached, "results", res)
+}
+
+// decodeCompareBytes decodes and validates a compare body: the plan
+// fields, then every architecture name against the backend registry, so
+// the 400 carries the registered menu and nothing unvalidated reaches the
+// worker pool (where it would surface as an opaque 500).
+func decodeCompareBytes(body []byte, dst *CompareRequest) (*topoopt.Model, []topoopt.Architecture, *apiError) {
+	if aerr := decodeJSONBytes(body, dst); aerr != nil {
+		return nil, nil, aerr
+	}
+	m, aerr := validatePlanFields(dst.Model, dst.Options)
+	if aerr != nil {
+		return nil, nil, aerr
+	}
+	archs := make([]topoopt.Architecture, 0, len(dst.Archs))
+	for _, a := range dst.Archs {
+		pa, err := topoopt.ParseArchitecture(a)
+		if err != nil {
+			return nil, nil, unknownArch(err)
+		}
+		archs = append(archs, pa)
+	}
+	return m, archs, nil
 }
 
 // CostResponse is the GET /v1/cost response body.
@@ -516,20 +527,11 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	tr := s.tel.Begin("sweep")
 	tr.Start(telemetry.StageDecode)
 	var req SweepRequest
-	if aerr := decodeJSON(w, r, &req); aerr != nil {
-		tr.Finish("", false, aerr.Status)
-		writeError(w, aerr)
-		return
+	aerr := decodeJSON(w, r, &req)
+	if aerr == nil {
+		aerr = validateSweep(req)
 	}
-	if err := req.Spec.Validate(); err != nil {
-		aerr := badRequest("spec", err)
-		tr.Finish("", false, aerr.Status)
-		writeError(w, aerr)
-		return
-	}
-	if req.Replicas < 1 || req.Replicas > topoopt.MaxFleetSweepReplicas {
-		aerr := badRequest("replicas",
-			fmt.Errorf("replicas must be in [1, %d], got %d", topoopt.MaxFleetSweepReplicas, req.Replicas))
+	if aerr != nil {
 		tr.Finish("", false, aerr.Status)
 		writeError(w, aerr)
 		return
@@ -565,6 +567,19 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeResult(w, tr, fp, cached, "sweep", res)
+}
+
+// validateSweep checks a decoded sweep request: a valid fleet spec and a
+// replica count in [1, MaxFleetSweepReplicas].
+func validateSweep(req SweepRequest) *apiError {
+	if err := req.Spec.Validate(); err != nil {
+		return badRequest("spec", err)
+	}
+	if req.Replicas < 1 || req.Replicas > topoopt.MaxFleetSweepReplicas {
+		return badRequest("replicas",
+			fmt.Errorf("replicas must be in [1, %d], got %d", topoopt.MaxFleetSweepReplicas, req.Replicas))
+	}
+	return nil
 }
 
 // JobList is the GET /v1/jobs response body: tracked jobs newest-first,
@@ -616,7 +631,21 @@ func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, jobNotFound(r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
+	if j.res == nil {
+		writeJSON(w, http.StatusOK, j)
+		return
+	}
+	// A done job's result goes out as the canonical bytes writeResult
+	// writes, spliced in as the envelope's last field, so a poll encodes
+	// only the envelope.
+	j.Result = nil
+	head, err := json.Marshal(j)
+	body, berr := j.res.bytes()
+	if err = errors.Join(err, berr); err != nil {
+		writeError(w, s.serviceError(err))
+		return
+	}
+	writeSpliced(w, append(head[:len(head)-1], `,"result":`...), body)
 }
 
 func jobNotFound(id string) *apiError {

@@ -163,6 +163,62 @@ func TestResponsesByteIdenticalToEncoder(t *testing.T) {
 	}
 }
 
+// rawField returns the raw bytes of one top-level field of a JSON object.
+func rawField(t *testing.T, body []byte, field string) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m[field] == nil {
+		t.Fatalf("no %q field in %.200s", field, body)
+	}
+	return m[field]
+}
+
+// TestJobPollResultMatchesPlan: a done job's poll carries, as its result,
+// the bytes POST /v1/plan answers with for the same request — for a plan
+// computed in-process and for one re-served from the store after a
+// restart.
+func TestJobPollResultMatchesPlan(t *testing.T) {
+	plan := stubPlan(t)
+	req := testRequest(1)
+	stub := func(context.Context, *topoopt.Model, topoopt.Options) (*topoopt.Plan, error) { return plan, nil }
+	dir := t.TempDir()
+	for _, label := range []string{"computed", "restart-warm"} {
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{Workers: 2, Store: st, Optimize: stub})
+		ts := httptest.NewServer(s.Handler())
+		j, err := s.SubmitJob(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done := pollJob(t, ts.URL, j.ID); done.Status != JobDone {
+			t.Fatalf("%s: job ended %s: %s", label, done.Status, done.Error)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var poll bytes.Buffer
+		_, err = poll.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rawField(t, poll.Bytes(), "result")
+		want := rawField(t, postOK(t, ts.URL, "/v1/plan", req), "plan")
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: poll result differs from the /v1/plan answer:\ngot  %.300s\nwant %.300s", label, got, want)
+		}
+		ts.Close()
+		s.Close()
+	}
+}
+
 // TestResultDerivesOnceConcurrently: concurrent first uses of a result's
 // derived form share one derivation — every caller gets the same bytes,
 // or the same decoded value.

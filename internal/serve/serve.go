@@ -984,6 +984,10 @@ type Job struct {
 	Error      string       `json:"error,omitempty"`
 	CreatedAt  time.Time    `json:"created_at"`
 	FinishedAt *time.Time   `json:"finished_at,omitempty"`
+
+	// res is a done job's result in both forms: a poll writes its
+	// canonical bytes rather than re-encoding Result.
+	res *result
 }
 
 type job struct {
@@ -1213,7 +1217,7 @@ func (s *Service) submitAsync(fp string, run flightRun, kind string, journal []b
 			j.FinishedAt = &now
 			switch {
 			case err == nil:
-				j.Status, j.Result = JobDone, v
+				j.Status, j.Result, j.res = JobDone, v, res
 			case errors.Is(err, context.Canceled):
 				j.Status, j.Error = JobCancelled, err.Error()
 			default:
